@@ -27,7 +27,7 @@
 //!   a burst of full-sky sweeps cannot starve interactive cone searches.
 
 use crate::exec::{
-    compile_into_scan, drive_into_scan, launch, plan_uses_columnar, BatchHandle, ExecEnv, ExecMode,
+    compile_gate, into_scan, launch, plan_uses_columnar, BatchHandle, ExecEnv, ExecMode,
     ResultBatch, Row, ScanTotals, TicketCore,
 };
 use crate::parser::parse_statement;
@@ -89,6 +89,37 @@ pub struct QueryStats {
     /// Scan-side totals: bytes/containers touched, exact geometry
     /// tests, and cover-cache hit/miss counts.
     pub scan: ScanTotals,
+}
+
+impl QueryStats {
+    /// The producer-side stats of one execution, read off its ticket
+    /// (per-worker accounting and scan totals). The consumer-side fields
+    /// default to what the producers emitted (`rows`, `batches`) or zero
+    /// (timings); stream consumers override them with what they saw.
+    fn from_ticket(
+        ticket: &TicketCore,
+        route: RouteChoice,
+        columnar: bool,
+        workers_granted: usize,
+    ) -> QueryStats {
+        let worker_scans = ticket.worker_scans();
+        let scan = ticket.totals();
+        QueryStats {
+            route,
+            columnar,
+            queue_time: Duration::ZERO,
+            time_to_first_row: None,
+            total_time: Duration::ZERO,
+            rows: scan.rows_scanned as usize,
+            rows_emitted: ticket.rows_emitted(),
+            batches: scan.batches_emitted as usize,
+            workers_granted,
+            workers_used: worker_scans.len(),
+            worker_bytes: worker_scans.iter().map(|w| w.bytes_scanned).collect(),
+            morsels: worker_scans.iter().map(|w| w.morsels).sum(),
+            scan,
+        }
+    }
 }
 
 /// A fully materialized query result.
@@ -999,14 +1030,7 @@ impl Prepared {
         // each leaf its mandatory single thread.)
         let workers_granted = slot.weight;
         let leaves = count_scan_leaves(&root).max(1);
-        let env = ExecEnv {
-            store: inner.store.clone(),
-            tags: inner.tags.clone(),
-            sets: self.sets.clone(),
-            cover_level: inner.config.cover_level,
-            mode: inner.config.mode,
-            workers: (workers_granted / leaves).max(1),
-        };
+        let env = self.exec_env((workers_granted / leaves).max(1));
         let started = Instant::now();
         let handle = launch(&env, root, &ticket);
         ResultStream {
@@ -1023,6 +1047,19 @@ impl Prepared {
             finished: false,
             workspace: self.workspace.clone(),
             _slot: slot,
+        }
+    }
+
+    /// The execution environment at `workers` scan workers per leaf.
+    fn exec_env(&self, workers: usize) -> ExecEnv {
+        let inner = &self.archive.inner;
+        ExecEnv {
+            store: inner.store.clone(),
+            tags: inner.tags.clone(),
+            sets: self.sets.clone(),
+            cover_level: inner.config.cover_level,
+            mode: inner.config.mode,
+            workers,
         }
     }
 
@@ -1067,12 +1104,12 @@ impl Prepared {
         let PlanNode::Scan(spec) = &root else {
             return Ok(None);
         };
-        let Some(pred) = compile_into_scan(spec, inner.tags.is_some(), inner.config.mode) else {
+        let Some(pred) = compile_gate(spec, inner.tags.is_some(), inner.config.mode) else {
             return Ok(None);
         };
-        // The fold is one serial driver — hold one worker slot. (The
-        // scan runs at memory bandwidth; the builder push is the
-        // bottleneck, not scan parallelism.)
+        // The fold runs the morsel driver at one worker — hold one
+        // worker slot. (The scan runs at memory bandwidth; the builder
+        // push is the bottleneck, not scan parallelism.)
         let queued_at = Instant::now();
         let slot = inner
             .slots
@@ -1081,47 +1118,28 @@ impl Prepared {
         let started = Instant::now();
         let ticket = Arc::new(TicketCore::default());
         let mut builder = ResultSetBuilder::new(chunk_rows);
-        let result = drive_into_scan(
-            inner.tags.clone(),
-            &self.sets,
-            spec,
-            pred,
-            inner.config.cover_level,
-            &ticket,
-            |tag, htm20| {
-                builder.push(tag, htm20);
-                if builder.bytes() as u64 > budget {
-                    return Err(QueryError::Exec(format!(
-                        "session byte quota exceeded materializing `{set_name}`: \
+        let result = into_scan(&self.exec_env(1), spec, pred, &ticket, |tag, htm20| {
+            builder.push(tag, htm20);
+            if builder.bytes() as u64 > budget {
+                return Err(QueryError::Exec(format!(
+                    "session byte quota exceeded materializing `{set_name}`: \
                          {} bytes available, {} rows already folded",
-                        budget,
-                        builder.rows()
-                    )));
-                }
-                Ok(())
-            },
-        );
+                    budget,
+                    builder.rows()
+                )));
+            }
+            Ok(())
+        });
         drop(slot);
         result?;
-        let worker_scans = ticket.worker_scans();
-        let totals = ticket.totals();
+        // The sink consumed every selected row, so the ticket's emitted
+        // rows/batches are what was delivered — reported like the
+        // stream-and-fetch route does, so SessionStats.rows_delivered
+        // doesn't depend on which INTO route executed.
         let stats = QueryStats {
-            route: self.route,
-            columnar: true,
             queue_time,
-            time_to_first_row: None,
             total_time: started.elapsed(),
-            // The sink consumed every selected row — report it like the
-            // stream-and-fetch route does, so SessionStats.rows_delivered
-            // doesn't depend on which INTO route executed.
-            rows: totals.rows_scanned as usize,
-            rows_emitted: ticket.rows_emitted(),
-            batches: totals.batches_emitted as usize,
-            workers_granted: 1,
-            workers_used: worker_scans.len(),
-            worker_bytes: worker_scans.iter().map(|w| w.bytes_scanned).collect(),
-            morsels: worker_scans.iter().map(|w| w.morsels).sum(),
-            scan: totals,
+            ..QueryStats::from_ticket(&ticket, self.route, true, 1)
         };
         Ok(Some((builder.finish(), stats)))
     }
@@ -1227,21 +1245,18 @@ impl ResultStream {
         // at the end of this call, and unaccounted background work is
         // exactly what admission exists to prevent.
         self.ticket.cancel();
-        let worker_scans = self.ticket.core.worker_scans();
         let stats = QueryStats {
-            route: self.route,
-            columnar: self.columnar,
             queue_time: self.queue_time,
             time_to_first_row: self.first,
             total_time: self.started.elapsed(),
             rows: self.rows,
-            rows_emitted: self.ticket.core.rows_emitted(),
             batches: self.batches,
-            workers_granted: self.workers_granted,
-            workers_used: worker_scans.len(),
-            worker_bytes: worker_scans.iter().map(|w| w.bytes_scanned).collect(),
-            morsels: worker_scans.iter().map(|w| w.morsels).sum(),
-            scan: self.ticket.core.totals(),
+            ..QueryStats::from_ticket(
+                &self.ticket.core,
+                self.route,
+                self.columnar,
+                self.workers_granted,
+            )
         };
         if let Some(ws) = &self.workspace {
             ws.note_query(&stats);
@@ -1302,6 +1317,7 @@ mod tests {
     use sdss_catalog::{PhotoObj, SkyModel};
     use sdss_htm::Region;
     use sdss_storage::StoreConfig;
+    use std::collections::BTreeMap;
 
     fn setup(seed: u64) -> (Archive, Vec<PhotoObj>) {
         let objs = SkyModel::small(seed).generate().unwrap();
@@ -1434,6 +1450,50 @@ mod tests {
             .filter(|o| o.mag(2) < 20.0 || o.class == sdss_catalog::ObjClass::Galaxy)
             .count();
         assert_eq!(union.rows.len(), expect_union);
+
+        // Full rows, not just ids: each set op equals its composition
+        // from the direct queries (UNION's right-only rows come back
+        // whole, never as objid-plus-NULLs).
+        let cols = "objid, r, g, class";
+        let bright = format!("SELECT {cols} FROM photoobj WHERE r < 20");
+        let galaxies = format!("SELECT {cols} FROM photoobj WHERE class = 'GALAXY'");
+        let keyed = |sql: &str| -> BTreeMap<u64, String> {
+            let rows = archive.run(sql).unwrap().rows;
+            let n = rows.len();
+            let map: BTreeMap<u64, String> = rows
+                .into_iter()
+                .map(|r| (r[0].as_id().unwrap(), format!("{r:?}")))
+                .collect();
+            assert_eq!(map.len(), n, "duplicate objid in {sql}");
+            map
+        };
+        let (left, right) = (keyed(&bright), keyed(&galaxies));
+        let mut want_union = left.clone();
+        for (id, row) in &right {
+            want_union.entry(*id).or_insert_with(|| row.clone());
+        }
+        let want_inter: BTreeMap<u64, String> = left
+            .iter()
+            .filter(|(id, _)| right.contains_key(id))
+            .map(|(id, row)| (*id, row.clone()))
+            .collect();
+        let want_except: BTreeMap<u64, String> = left
+            .iter()
+            .filter(|(id, _)| !right.contains_key(id))
+            .map(|(id, row)| (*id, row.clone()))
+            .collect();
+        assert!(want_union.len() > left.len(), "need right-only rows");
+        for (op, want) in [
+            ("UNION", want_union),
+            ("INTERSECT", want_inter),
+            ("EXCEPT", want_except),
+        ] {
+            let got = keyed(&format!("({bright}) {op} ({galaxies})"));
+            assert_eq!(
+                got, want,
+                "{op} rows differ from the composed direct queries"
+            );
+        }
     }
 
     #[test]

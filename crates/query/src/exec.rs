@@ -8,14 +8,29 @@
 //! property: the first matching object reaches the consumer while scans
 //! are still running.
 //!
-//! Tag scans run **columnar**: the scan leaf pulls
-//! [`sdss_storage::ColumnBatch`]es from the tag store's struct-of-arrays
-//! chunks, evaluates the compiled predicate ([`crate::compile`]) over
-//! each batch into a selection bitmap, and ships the projected columns
-//! onward as a [`ColumnarBatch`] — typed column vectors, **not**
-//! `Vec<Row>`. Rows materialize only at the edge, when a consumer calls
+//! Tag and stored-set scans run **columnar**: the scan leaf pulls
+//! [`sdss_storage::ColumnBatch`]es from struct-of-arrays chunks,
+//! evaluates the compiled predicate ([`crate::compile`]) over each batch
+//! into a selection bitmap, and ships the projected columns onward as a
+//! [`ColumnarBatch`] — typed column vectors, **not** `Vec<Row>`. Rows
+//! materialize only at the edge, when a consumer calls
 //! [`ResultBatch::rows`]; row-at-a-time interpretation remains as the
-//! fallback for whatever the compiler can't express.
+//! fallback for whatever the compiler can't express (and the full store).
+//!
+//! Every columnar shape runs on **one morsel driver** (`MorselRun`):
+//! it resolves the source, applies the one compile gate's predicate and
+//! the sample, and builds the byte-balanced [`MorselQueue`] once;
+//! `MorselRun::drain` is the only morsel loop (cancel checks per morsel
+//! and per batch, row selection, per-worker accounting), and `fan_out`
+//! runs workers 1..n on scoped threads with worker 0 inline. The
+//! projection scan, the in-scan aggregate, the direct INTO path (at one
+//! worker) and the MATCH probe (pairs, and aggregates through the same
+//! partial-merge helper as scans) are closures over it. The driver's docs
+//! carry the slot-accounting contract with admission.
+//!
+//! A query without ORDER BY has an **unspecified row order**: parallel
+//! workers push into one channel in scheduling order. Only the multiset
+//! of rows is part of the result contract.
 //!
 //! Execution is owned, not scoped: stores travel as `Arc`s and node
 //! threads are detached, so a [`BatchHandle`] can outlive the call that
@@ -38,6 +53,7 @@ use sdss_storage::{
     TagScanPlan, TagStore, ZoneIndex,
 };
 use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -482,8 +498,8 @@ pub struct ExecEnv {
     pub cover_level: Option<u8>,
     pub mode: ExecMode,
     /// Scan workers each columnar scan leaf may use (≥ 1). The caller
-    /// holds this many admission slots per leaf — see `dataflow::pool`'s
-    /// module docs for the slot-accounting contract.
+    /// holds this many admission slots per leaf — see the morsel
+    /// driver's (`MorselRun`) docs for the slot-accounting contract.
     pub workers: usize,
 }
 
@@ -501,33 +517,41 @@ fn columnar_source(spec: &ScanSpec, tags_available: bool) -> bool {
     match &spec.source {
         QuerySource::Tag => tags_available,
         QuerySource::Set(_) => true,
-        // MATCH joins run their own morsel-parallel pair path (the
-        // probe side streams column batches, pairs evaluate row-wise).
+        // MATCH joins probe through the morsel driver too, but their
+        // pairs evaluate row-wise (see `spawn_match`).
         QuerySource::Full | QuerySource::Match(_) => false,
     }
 }
 
-/// Lower a scan for the columnar path: `Some` iff the mode allows it,
-/// the source is columnar-capable (tag store or stored set), and the
-/// predicate (when present) and projection both compile. The single
-/// decision point — the stats flag (`plan_uses_columnar`) and the
-/// executor both go through here, so the gate and the execution path
-/// cannot drift.
+/// The one compile gate of the morsel driver: `Some(pred)` iff the mode
+/// allows compiled execution, the source is columnar-capable (tag store
+/// or stored set), and the predicate (when present) compiles. Each shape
+/// adds its own output program on top — a projection for scans,
+/// aggregate inputs for in-scan folds, nothing for INTO (which
+/// materializes whole tag records). The stats flag
+/// (`plan_uses_columnar`) and the executor both go through here, so the
+/// gate and the execution path cannot drift.
+pub(crate) fn compile_gate(
+    spec: &ScanSpec,
+    tags_available: bool,
+    mode: ExecMode,
+) -> Option<Option<CompiledPredicate>> {
+    if mode != ExecMode::Auto || !columnar_source(spec, tags_available) {
+        return None;
+    }
+    match &spec.predicate {
+        None => Some(None),
+        Some(p) => compile_predicate(p).map(Some),
+    }
+}
+
+/// The projection scan's lowering: the gate plus a compiled projection.
 fn compile_scan(
     spec: &ScanSpec,
     tags_available: bool,
     mode: ExecMode,
-) -> Option<(
-    Option<crate::compile::CompiledPredicate>,
-    crate::compile::CompiledProjection,
-)> {
-    if mode != ExecMode::Auto || !columnar_source(spec, tags_available) {
-        return None;
-    }
-    let pred = match &spec.predicate {
-        None => None,
-        Some(p) => Some(compile_predicate(p)?),
-    };
+) -> Option<(Option<CompiledPredicate>, CompiledProjection)> {
+    let pred = compile_gate(spec, tags_available, mode)?;
     Some((pred, compile_projection(&spec.columns)?))
 }
 
@@ -558,20 +582,37 @@ pub fn launch(env: &ExecEnv, plan: PlanNode, ticket: &Arc<TicketCore>) -> BatchH
     spawn_node(env, plan, ticket)
 }
 
-/// Spawn a detached node thread that records panics into the ticket —
-/// detached threads have no scope join to propagate through, and a
-/// silently dead producer would read as a clean (truncated) result.
-fn spawn_guarded(ticket: Arc<TicketCore>, body: impl FnOnce() + Send + 'static) {
-    std::thread::spawn(move || {
-        if let Err(panic) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
+/// Run `body`, recording a panic into the ticket instead of unwinding
+/// further — a silently dead producer would read as a clean (truncated)
+/// result.
+fn guarded<T>(ticket: &TicketCore, body: impl FnOnce() -> T) -> Option<T> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
+        Ok(v) => Some(v),
+        Err(panic) => {
             let msg = panic
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
                 .or_else(|| panic.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "unknown panic payload".to_string());
             ticket.record_failure(format!("execution thread panicked: {msg}"));
+            None
         }
+    }
+}
+
+/// Spawn a detached node thread that records panics into the ticket —
+/// detached threads have no scope join to propagate through.
+fn spawn_guarded(ticket: Arc<TicketCore>, body: impl FnOnce() + Send + 'static) {
+    std::thread::spawn(move || {
+        guarded(&ticket, body);
     });
+}
+
+/// Ship a full row buffer into the fabric; `false` once the consumer
+/// has hung up.
+fn send_rows(ticket: &TicketCore, tx: &Sender<ResultBatch>, out: &mut Vec<Row>) -> bool {
+    ticket.note_batch(out.len());
+    tx.send(ResultBatch::Rows(std::mem::take(out))).is_ok()
 }
 
 fn spawn_node(env: &ExecEnv, node: PlanNode, ticket: &Arc<TicketCore>) -> BatchHandle {
@@ -629,18 +670,17 @@ fn spawn_node(env: &ExecEnv, node: PlanNode, ticket: &Arc<TicketCore>) -> BatchH
         }
         PlanNode::Aggregate { child, aggs } => {
             // In-scan folding fast path: an aggregate directly over a
-            // compilable tag scan folds inside the scan workers — no
-            // `__agg_i` columns, no per-row channel traffic.
+            // compilable scan (or a MATCH) folds inside the morsel
+            // workers — no `__agg_i` columns, no per-row channel traffic.
             let child = *child;
             if let PlanNode::Scan(spec) = child {
-                // MATCH pair-counts fold in-scan too: probe workers
-                // accumulate per-worker partials over the pairs they
-                // emit, merged at the edge — COUNT over a cross-match
-                // ships one row, never the pair stream.
                 if let QuerySource::Match(m) = spec.source.clone() {
-                    return spawn_match_agg_scan(env, spec, m, aggs, ticket);
+                    return spawn_match(env, spec, m, Some(aggs), ticket);
                 }
-                return match compile_agg_scan(&spec, &aggs, env.tags.is_some(), env.mode) {
+                let args: Vec<Option<&Expr>> = aggs.iter().map(|a| a.arg.as_ref()).collect();
+                let lowered = compile_gate(&spec, env.tags.is_some(), env.mode)
+                    .and_then(|pred| Some((pred, compile_agg_inputs(&args)?)));
+                return match lowered {
                     Some((pred, inputs)) => spawn_agg_scan(env, spec, aggs, pred, inputs, ticket),
                     None => spawn_aggregate_over(env, PlanNode::Scan(spec), aggs, ticket),
                 };
@@ -652,20 +692,32 @@ fn spawn_node(env: &ExecEnv, node: PlanNode, ticket: &Arc<TicketCore>) -> BatchH
             let rh = spawn_node(env, *right, ticket);
             let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
             let columns = lh.columns.clone();
-            let n_columns = columns.len();
             let objid_idx = columns
                 .iter()
                 .position(|c| c == "objid")
                 .expect("planner enforced objid for set ops");
+            let union = op == crate::ast::SetOp::Union;
             spawn_guarded(ticket.clone(), move || {
-                // Blocking on the right side: build the key set (ids
-                // only — no row materialization).
+                // Blocking on the right side: build the key set. UNION
+                // also keeps the right side's first row per objid (its
+                // right-only rows are emitted whole); INTERSECT and
+                // EXCEPT only need the ids, so they never materialize
+                // right-side rows.
                 let mut right_ids: HashSet<u64> = HashSet::new();
+                let mut right_rows: Vec<Row> = Vec::new();
                 for batch in rh.rx.iter() {
-                    for r in 0..batch.len() {
-                        if let Some(id) = batch.id_at(objid_idx, r) {
-                            right_ids.insert(id);
+                    if union {
+                        for row in batch.rows() {
+                            if row[objid_idx]
+                                .as_id()
+                                .is_some_and(|id| right_ids.insert(id))
+                            {
+                                right_rows.push(row);
+                            }
                         }
+                    } else {
+                        right_ids
+                            .extend((0..batch.len()).filter_map(|r| batch.id_at(objid_idx, r)));
                     }
                 }
                 // Stream the left side against it.
@@ -698,22 +750,15 @@ fn spawn_node(env: &ExecEnv, node: PlanNode, ticket: &Arc<TicketCore>) -> BatchH
                     }
                 }
                 // Union also emits right-only rows.
-                if op == crate::ast::SetOp::Union {
-                    for &id in right_ids.iter() {
-                        if !seen.contains(&id) {
-                            // We only kept ids, not rows, for the right
-                            // side; emit a minimal row with objid and NULLs
-                            // — documented bag-of-pointers semantics.
-                            let mut row: Row = vec![Value::Null; n_columns];
-                            row[objid_idx] = Value::Id(id);
-                            out.push(row);
-                            if out.len() >= BATCH
-                                && tx
-                                    .send(ResultBatch::Rows(std::mem::take(&mut out)))
-                                    .is_err()
-                            {
-                                return;
-                            }
+                for row in right_rows {
+                    if row[objid_idx].as_id().is_some_and(|id| !seen.contains(&id)) {
+                        out.push(row);
+                        if out.len() >= BATCH
+                            && tx
+                                .send(ResultBatch::Rows(std::mem::take(&mut out)))
+                                .is_err()
+                        {
+                            return;
                         }
                     }
                 }
@@ -773,13 +818,13 @@ fn spawn_aggregate_over(
 }
 
 /// Lower a scan: project columns (plus hidden aggregate argument columns,
-/// handled by the planner caller) and stream matching batches. Tag scans
-/// take the columnar compiled path when the predicate and projection
-/// both lower to bytecode; everything else interprets row-at-a-time.
+/// handled by the planner caller) and stream matching batches. Tag and
+/// stored-set scans take the compiled path on the morsel driver when the
+/// predicate and projection both lower to bytecode; everything else
+/// interprets row-at-a-time.
 fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchHandle {
-    // MATCH joins have their own morsel-parallel pair path.
     if let QuerySource::Match(m) = spec.source.clone() {
-        return spawn_match_scan(env, spec, m, ticket);
+        return spawn_match(env, spec, m, None, ticket);
     }
     let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
     let columns: Arc<Vec<String>> = Arc::new(spec.columns.iter().map(|(n, _)| n.clone()).collect());
@@ -787,40 +832,45 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchH
     let ticket = ticket.clone();
 
     // --- columnar fast path -------------------------------------------
-    // `compile_scan` is the same gate `plan_uses_columnar` reports
-    // through `QueryStats.columnar`; the programs compile exactly once.
-    // The scan is morsel-driven: the touched-container list becomes a
-    // byte-balanced work queue and `env.workers` worker threads drain it
-    // in parallel, each streaming into the same output channel (the
-    // channel is the per-worker stream merge).
+    // Every worker streams projected batches into the same output
+    // channel (the channel is the per-worker stream merge).
     if let Some((pred, proj)) = compile_scan(&spec, env.tags.is_some(), env.mode) {
-        let tags = env.tags.clone();
-        let sets = env.sets.clone();
-        let workers = env.workers.max(1);
+        let env = env.clone();
         spawn_guarded(ticket.clone(), move || {
-            let Some(source) = ScanSource::resolve(tags, &sets, &spec, cover_level, &ticket) else {
+            let Some(run) = MorselRun::open(&env, &spec, pred, env.workers, &ticket) else {
                 return;
             };
-            if let Some(hit) = source.cover_cache_hit() {
-                ticket.note_cover(hit);
-            }
-            let n_workers = workers.min(source.n_morsels()).max(1);
-            let job = Arc::new(ColumnarScanJob {
-                pred,
-                proj,
-                sample: spec.sample,
-                queue: MorselQueue::build(&source.morsel_bytes(), n_workers),
-                source,
-                ticket: ticket.clone(),
-                tx,
+            fan_out(&ticket, run.workers(), |w| {
+                // Coalesced output: selective predicates keep few rows
+                // per input chunk; accumulating up to COALESCE_ROWS
+                // before a send amortizes the channel round-trip. Each
+                // worker's FIRST non-empty batch flushes immediately —
+                // coalescing must not hold back time-to-first-row.
+                let mut pending: Option<ColumnarBatch> = None;
+                let mut sent_any = false;
+                run.drain(w, |batch, keep, scratch| {
+                    let selected = keep.count() as u64;
+                    let out = proj.eval_batch(batch, keep, scratch);
+                    match &mut pending {
+                        None => pending = Some(out),
+                        Some(p) => p.append(out),
+                    }
+                    let threshold = if sent_any { COALESCE_ROWS } else { 1 };
+                    if pending.as_ref().is_some_and(|p| p.len() >= threshold) {
+                        let out = pending.take().expect("checked above");
+                        ticket.note_batch(out.len());
+                        sent_any = true;
+                        if tx.send(ResultBatch::Columnar(out)).is_err() {
+                            return ControlFlow::Break(selected); // consumer hung up
+                        }
+                    }
+                    ControlFlow::Continue(selected)
+                });
+                if let Some(out) = pending {
+                    ticket.note_batch(out.len());
+                    let _ = tx.send(ResultBatch::Columnar(out));
+                }
             });
-            for w in 1..n_workers {
-                let job = job.clone();
-                spawn_guarded(ticket.clone(), move || job.run_worker(w));
-            }
-            // The coordinator doubles as worker 0; the channel closes
-            // once the last worker drops its `job` clone.
-            job.run_worker(0);
         });
         return BatchHandle { columns, rx };
     }
@@ -862,16 +912,7 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchH
             }
             out.push(row);
             kept += 1;
-            if out.len() >= BATCH {
-                ticket.note_batch(out.len());
-                if tx
-                    .send(ResultBatch::Rows(std::mem::take(&mut out)))
-                    .is_err()
-                {
-                    return false;
-                }
-            }
-            true
+            out.len() < BATCH || send_rows(&ticket, tx, &mut out)
         };
 
         match (&spec.source, &tags) {
@@ -945,8 +986,7 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchH
             },
         }
         if alive && !out.is_empty() {
-            ticket.note_batch(out.len());
-            let _ = tx.send(ResultBatch::Rows(out));
+            send_rows(&ticket, &tx, &mut out);
         }
         // The interpreted scan is a single serial worker; register it so
         // `workers_used` is truthful on every path.
@@ -959,11 +999,10 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchH
     BatchHandle { columns, rx }
 }
 
-/// The morsel workers' shared per-batch row selection: the cover mask
-/// ANDed with the compiled predicate (cover-rejected rows hinted away),
-/// then the deterministic sample filter. One rule for the projection
-/// and the aggregate paths — their equivalence is what the parallel
-/// tests assert.
+/// The morsel driver's per-batch row selection: the cover mask ANDed
+/// with the compiled predicate (cover-rejected rows hinted away), then
+/// the deterministic sample filter. One rule for every shape on the
+/// driver — their equivalence is what the parallel tests assert.
 fn select_rows(
     pred: &Option<CompiledPredicate>,
     sample: Option<f64>,
@@ -989,8 +1028,8 @@ fn select_rows(
     keep
 }
 
-/// Where a columnar scan's morsels come from — the substrate the worker
-/// pool drains. Tag scans resolve an HTM cover into a [`TagScanPlan`]
+/// Where a columnar scan's morsels come from — the substrate the morsel
+/// driver drains. Tag scans resolve an HTM cover into a [`TagScanPlan`]
 /// (one morsel per touched container); stored sets expose their SoA
 /// chunks directly (one morsel per chunk, every row pre-selected). The
 /// compiled predicate/projection machinery is identical above this seam,
@@ -1009,15 +1048,9 @@ impl ScanSource {
     /// ticket and returns `None` when resolution fails (scan planning
     /// error, or a stored set missing from the pinned snapshot — the
     /// latter indicates a prepare-time bug, since sessions pin sets).
-    fn resolve(
-        tags: Option<Arc<TagStore>>,
-        sets: &HashMap<String, Arc<ResultSet>>,
-        spec: &ScanSpec,
-        cover_level: Option<u8>,
-        ticket: &TicketCore,
-    ) -> Option<ScanSource> {
+    fn resolve(env: &ExecEnv, spec: &ScanSpec, ticket: &TicketCore) -> Option<ScanSource> {
         match &spec.source {
-            QuerySource::Set(name) => match sets.get(name) {
+            QuerySource::Set(name) => match env.sets.get(name) {
                 Some(set) => Some(ScanSource::Set(set.clone())),
                 None => {
                     ticket.record_failure(format!(
@@ -1027,8 +1060,11 @@ impl ScanSource {
                 }
             },
             _ => {
-                let store = tags.expect("columnar gate checked the tag store");
-                match store.plan_batch_scan(spec.domain.as_ref(), cover_level) {
+                let store = env
+                    .tags
+                    .clone()
+                    .expect("columnar gate checked the tag store");
+                match store.plan_batch_scan(spec.domain.as_ref(), env.cover_level) {
                     Ok(plan) => Some(ScanSource::Tag {
                         store,
                         plan: Arc::new(plan),
@@ -1078,39 +1114,102 @@ impl ScanSource {
     }
 }
 
-/// One parallel columnar scan: compiled programs + the resolved morsel
-/// source, shared by every worker through an `Arc`. Workers claim
-/// morsels from the byte-balanced queue, evaluate the predicate, and
-/// push projected [`ColumnarBatch`]es into the shared channel — the
-/// channel fabric merges the per-worker streams.
-struct ColumnarScanJob {
-    pred: Option<CompiledPredicate>,
-    proj: CompiledProjection,
-    sample: Option<f64>,
+// ---------------------------------------------------------------------
+// The morsel driver
+// ---------------------------------------------------------------------
+
+/// One morsel-driven run — the single driver under every compiled shape:
+/// the projection scan, the in-scan aggregate, the direct INTO path (at
+/// one worker), and the MATCH probe (pairs and aggregates). It holds the
+/// resolved source, the compiled predicate and sample, and the
+/// byte-balanced [`MorselQueue`], built exactly once per run.
+///
+/// **Slot-accounting contract with admission.** `Archive` admission
+/// accounts slots in *worker threads, not queries*: an execution granted
+/// `W` workers holds `W` slots for as long as its scans run (split across
+/// a plan's scan leaves as [`ExecEnv::workers`]), so an 8-worker sweep
+/// occupies the machine exactly like 8 single-worker queries and the
+/// admission bound stays a true bound on concurrent scan threads. A run
+/// therefore sizes its queue to `min(grant, morsels)` (at least one) and
+/// [`fan_out`] starts exactly that many workers — never more than the
+/// grant — so `workers_used <= workers_granted` on every shape. Workers
+/// stop between batches on cancel, so the slots come back within one
+/// batch of a cancel or a consumer hang-up.
+struct MorselRun {
     source: ScanSource,
+    pred: Option<CompiledPredicate>,
+    sample: Option<f64>,
     queue: MorselQueue,
     ticket: Arc<TicketCore>,
-    tx: Sender<ResultBatch>,
 }
 
-impl ColumnarScanJob {
-    fn run_worker(&self, w: usize) {
+impl MorselRun {
+    /// Build a run over a resolved source for up to `workers` workers,
+    /// noting the source's plan-time cover lookup.
+    fn new(
+        source: ScanSource,
+        pred: Option<CompiledPredicate>,
+        sample: Option<f64>,
+        workers: usize,
+        ticket: Arc<TicketCore>,
+    ) -> MorselRun {
+        if let Some(hit) = source.cover_cache_hit() {
+            ticket.note_cover(hit);
+        }
+        let n_workers = workers.min(source.n_morsels()).max(1);
+        let queue = MorselQueue::build(&source.morsel_bytes(), n_workers);
+        MorselRun {
+            source,
+            pred,
+            sample,
+            queue,
+            ticket,
+        }
+    }
+
+    /// Resolve `spec`'s source and open a run over it for up to
+    /// `workers` workers (`None`: the failure is on the ticket).
+    fn open(
+        env: &ExecEnv,
+        spec: &ScanSpec,
+        pred: Option<CompiledPredicate>,
+        workers: usize,
+        ticket: &Arc<TicketCore>,
+    ) -> Option<MorselRun> {
+        let source = ScanSource::resolve(env, spec, ticket)?;
+        let run = MorselRun::new(source, pred, spec.sample, workers, ticket.clone());
+        Some(run)
+    }
+
+    /// Workers this run was sized for.
+    fn workers(&self) -> usize {
+        self.queue.workers()
+    }
+
+    /// Drain worker `w`'s morsels — the only morsel loop. Per morsel and
+    /// per batch it checks the cancel flag; per batch it applies
+    /// [`select_rows`] and hands the batch plus its non-empty selection
+    /// to `on_batch`, which returns how many rows it selected (pairs, for
+    /// MATCH) and breaks to stop this worker (consumer hang-up, sink
+    /// error). Registers the worker's [`WorkerScan`] and scan totals on
+    /// the ticket and returns the former.
+    fn drain(
+        &self,
+        w: usize,
+        mut on_batch: impl FnMut(
+            &ColumnBatch<'_>,
+            &SelectionMask,
+            &mut BatchScratch,
+        ) -> ControlFlow<u64, u64>,
+    ) -> WorkerScan {
         let mut scratch = BatchScratch::new();
         let mut keep_scratch: Vec<usize> = Vec::new();
-        // Coalesced output: selective predicates keep few rows per input
-        // chunk; accumulating up to COALESCE_ROWS before a send
-        // amortizes the channel round-trip. Each worker's FIRST
-        // non-empty batch flushes immediately — coalescing must not hold
-        // back the ASAP time-to-first-row property.
-        let mut pending: Option<ColumnarBatch> = None;
-        let mut sent_any = false;
         let mut local = RegionScan::default();
-        let mut morsels = 0u64;
-        let mut selected = 0u64;
+        let mut ws = WorkerScan::default();
         let mut alive = true;
         while alive && !self.ticket.is_cancelled() {
             let Some(m) = self.queue.next(w) else { break };
-            morsels += 1;
+            ws.morsels += 1;
             let (stats, _) = self.source.scan_morsel(m, |batch, sel| {
                 if self.ticket.is_cancelled() {
                     return false;
@@ -1123,105 +1222,141 @@ impl ColumnarScanJob {
                     &mut scratch,
                     &mut keep_scratch,
                 );
-                if keep.any() {
-                    selected += keep.count() as u64;
-                    let out = self.proj.eval_batch(batch, &keep, &mut scratch);
-                    match &mut pending {
-                        None => pending = Some(out),
-                        Some(p) => p.append(out),
-                    }
-                    let threshold = if sent_any { COALESCE_ROWS } else { 1 };
-                    if pending.as_ref().is_some_and(|p| p.len() >= threshold) {
-                        let out = pending.take().expect("checked above");
-                        self.ticket.note_batch(out.len());
-                        sent_any = true;
-                        if self.tx.send(ResultBatch::Columnar(out)).is_err() {
-                            alive = false;
-                            return false; // consumer hung up
-                        }
-                    }
+                if !keep.any() {
+                    return true;
                 }
-                true
+                let flow = on_batch(batch, &keep, &mut scratch);
+                let (ControlFlow::Continue(n) | ControlFlow::Break(n)) = flow;
+                ws.rows_selected += n;
+                alive = flow.is_continue();
+                alive
             });
             local.merge(&stats);
         }
-        if let Some(out) = pending {
-            self.ticket.note_batch(out.len());
-            let _ = self.tx.send(ResultBatch::Columnar(out));
-        }
-        self.ticket.note_worker(WorkerScan {
-            bytes_scanned: local.bytes_scanned as u64,
-            morsels,
-            rows_selected: selected,
-        });
+        ws.bytes_scanned = local.bytes_scanned as u64;
+        self.ticket.note_worker(ws);
         self.ticket.absorb_scan(&local);
+        ws
     }
 }
 
-/// One parallel aggregate scan with **in-scan folding**: workers fold
-/// `COUNT`/`SUM`/`MIN`/`MAX`/`AVG` partials directly inside the morsel
-/// loop — no hidden `__agg_i` columns ever enter the channel fabric.
-/// The coordinator merges per-worker partial accumulators at the edge
-/// and emits the single result row.
-struct AggScanJob {
+/// Run `work(w)` for workers `0..n`: workers 1..n on guarded scoped
+/// threads, worker 0 inline on the calling (coordinator) thread. Returns
+/// each worker's result; a panicked worker contributes none (its failure
+/// is on the ticket).
+fn fan_out<T: Send>(ticket: &TicketCore, n: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let work = &work;
+    std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..n)
+            .map(|w| s.spawn(move || guarded(ticket, || work(w))))
+            .collect();
+        let mut out: Vec<T> = guarded(ticket, || work(0)).into_iter().collect();
+        out.extend(spawned.into_iter().filter_map(|h| h.join().ok().flatten()));
+        out
+    })
+}
+
+/// The in-scan aggregate shared by compiled scans and MATCH: every worker
+/// of `run` folds partial accumulators through `fold`, then the partials
+/// merge at the edge into the single result row. Folded rows never ship
+/// as batches, so each worker counts them into the scan totals — keeping
+/// `QueryStats.scan.rows_scanned` comparable across shapes.
+fn fold_and_emit(
+    run: &MorselRun,
+    funcs: &[AggFn],
+    tx: &Sender<ResultBatch>,
+    fold: impl Fn(
+            &ColumnBatch<'_>,
+            &SelectionMask,
+            &mut BatchScratch,
+            &mut [AggAcc],
+        ) -> ControlFlow<u64, u64>
+        + Sync,
+) {
+    let new_accs = || funcs.iter().map(|&f| AggAcc::new(f)).collect::<Vec<_>>();
+    let partials = fan_out(&run.ticket, run.workers(), |w| {
+        let mut accs = new_accs();
+        let ws = run.drain(w, |batch, keep, scratch| {
+            fold(batch, keep, scratch, &mut accs)
+        });
+        run.ticket.note_rows(ws.rows_selected);
+        accs
+    });
+    let mut acc = new_accs();
+    for partial in partials {
+        for (a, p) in acc.iter_mut().zip(partial) {
+            a.merge(p);
+        }
+    }
+    let row: Row = acc.into_iter().map(AggAcc::finish).collect();
+    run.ticket.note_emitted();
+    let _ = tx.send(ResultBatch::Rows(vec![row]));
+}
+
+/// The fused aggregate scan: morsel workers fold partials over the
+/// compiled aggregate inputs; the coordinator emits one row.
+fn spawn_agg_scan(
+    env: &ExecEnv,
+    spec: ScanSpec,
+    aggs: Vec<AggSpec>,
     pred: Option<CompiledPredicate>,
     inputs: CompiledAggInputs,
-    funcs: Vec<AggFn>,
-    sample: Option<f64>,
-    source: ScanSource,
-    queue: MorselQueue,
-    ticket: Arc<TicketCore>,
+    ticket: &Arc<TicketCore>,
+) -> BatchHandle {
+    let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
+    let columns = Arc::new(aggs.iter().map(|a| a.name.clone()).collect::<Vec<_>>());
+    let funcs: Vec<AggFn> = aggs.iter().map(|a| a.func).collect();
+    let env = env.clone();
+    let ticket = ticket.clone();
+    spawn_guarded(ticket.clone(), move || {
+        let Some(run) = MorselRun::open(&env, &spec, pred, env.workers, &ticket) else {
+            return;
+        };
+        fold_and_emit(&run, &funcs, &tx, |batch, keep, scratch, accs| {
+            inputs.fold(batch, keep, scratch, |i, v| accs[i].update(v));
+            ControlFlow::Continue(keep.count() as u64)
+        });
+    });
+    BatchHandle { columns, rx }
 }
 
-impl AggScanJob {
-    /// Drain morsels for worker `w`, returning its partial accumulators
-    /// (partial even when cancelled — the channel path emits a partial
-    /// aggregate on cancel too).
-    fn run_worker(&self, w: usize) -> Vec<AggAcc> {
-        let mut scratch = BatchScratch::new();
-        let mut keep_scratch: Vec<usize> = Vec::new();
-        let mut accs: Vec<AggAcc> = self.funcs.iter().map(|&f| AggAcc::new(f)).collect();
-        let mut local = RegionScan::default();
-        let mut morsels = 0u64;
-        let mut folded = 0u64;
-        while !self.ticket.is_cancelled() {
-            let Some(m) = self.queue.next(w) else { break };
-            morsels += 1;
-            let (stats, _) = self.source.scan_morsel(m, |batch, sel| {
-                if self.ticket.is_cancelled() {
-                    return false;
-                }
-                let keep = select_rows(
-                    &self.pred,
-                    self.sample,
-                    batch,
-                    sel,
-                    &mut scratch,
-                    &mut keep_scratch,
-                );
-                if keep.any() {
-                    folded += keep.count() as u64;
-                    self.inputs
-                        .fold(batch, &keep, &mut scratch, |i, v| accs[i].update(v));
-                }
-                true
-            });
-            local.merge(&stats);
+/// The direct columnar INTO fast path: the morsel driver at one worker
+/// (the caller holds one admission slot), selected rows leaving the
+/// [`ColumnBatch`] lanes as owned tag records + `htm20` with **no
+/// per-objid full-store fetch**. The sink may error (quota enforcement)
+/// to abort the scan. Tag containers and stored sets both hold each
+/// object at most once, so the sink sees no duplicate object pointers
+/// (the property the slow path's dedup hash exists to establish).
+pub(crate) fn into_scan(
+    env: &ExecEnv,
+    spec: &ScanSpec,
+    pred: Option<CompiledPredicate>,
+    ticket: &Arc<TicketCore>,
+    mut sink: impl FnMut(&TagObject, u64) -> Result<(), QueryError>,
+) -> Result<(), QueryError> {
+    let Some(run) = MorselRun::open(env, spec, pred, 1, ticket) else {
+        return Err(QueryError::Exec(ticket.failure().unwrap_or_else(|| {
+            "INTO scan source resolution failed".to_string()
+        })));
+    };
+    let mut err: Option<QueryError> = None;
+    run.drain(0, |batch, keep, _| {
+        let kept = keep.count() as u64;
+        ticket.note_batch(kept as usize);
+        for i in keep.iter_set() {
+            if let Err(e) = sink(&batch.row(i), batch.htm20[i]) {
+                err = Some(e);
+                return ControlFlow::Break(kept);
+            }
         }
-        self.ticket.note_rows(folded);
-        self.ticket.note_worker(WorkerScan {
-            bytes_scanned: local.bytes_scanned as u64,
-            morsels,
-            rows_selected: folded,
-        });
-        self.ticket.absorb_scan(&local);
-        accs
-    }
+        ControlFlow::Continue(kept)
+    });
+    err.map_or(Ok(()), Err)
 }
 
 // ---------------------------------------------------------------------
-// MATCH joins: morsel-parallel cross-match over a zone-partitioned
-// build side
+// MATCH joins: the morsel driver over the probe side, against a
+// zone-partitioned build side
 // ---------------------------------------------------------------------
 
 /// One pair of a MATCH join, presented to the row-wise evaluator:
@@ -1253,75 +1388,56 @@ impl AttrSource for PairSource<'_> {
     }
 }
 
-/// The shared core of one MATCH execution: the resolved probe source
-/// (one morsel per chunk/container, drained through the byte-balanced
-/// [`MorselQueue`] exactly like a columnar scan), the collected build
-/// rows with their [`ZoneIndex`], and the join parameters. Probe workers
-/// share it behind an `Arc`; the projection and aggregate variants both
-/// drain pairs through [`MatchJobCore::drain_worker`].
-struct MatchJobCore {
+/// The build side of one MATCH execution — the collected rows with their
+/// [`ZoneIndex`] — plus the join parameters. Probe workers share it by
+/// reference; the probe side is an ordinary [`MorselRun`].
+struct MatchJoin {
     predicate: Option<Expr>,
-    sample: Option<f64>,
     radius_arcsec: f64,
     build: Vec<TagObject>,
     index: ZoneIndex,
-    probe: ScanSource,
-    queue: MorselQueue,
-    ticket: Arc<TicketCore>,
 }
 
-impl MatchJobCore {
-    /// Resolve both join sides and build the zone index. Returns the
-    /// core plus the worker count (capped by probe morsels). Failures
-    /// are recorded on the ticket (the consumer sees a closed channel
-    /// plus the failure message, like every other resolution error).
-    fn prepare(
-        tags: &Option<Arc<TagStore>>,
-        sets: &HashMap<String, Arc<ResultSet>>,
+impl MatchJoin {
+    /// Resolve both join sides, build the zone index, and open the probe
+    /// run (no compiled predicate: pair predicates evaluate per pair;
+    /// the sample applies probe-side). Failures are recorded on the
+    /// ticket (the consumer sees a closed channel plus the failure
+    /// message, like every other resolution error).
+    fn open(
+        env: &ExecEnv,
         spec: &ScanSpec,
-        m: MatchSpec,
-        workers: usize,
-        ticket: Arc<TicketCore>,
-    ) -> Option<(MatchJobCore, usize)> {
-        let probe = Self::resolve_input(&m.a, tags, sets, &ticket)?;
+        m: &MatchSpec,
+        ticket: &Arc<TicketCore>,
+    ) -> Option<(MatchJoin, MorselRun)> {
+        let probe = Self::resolve_input(&m.a, env, ticket)?;
         // Collect the build side once; its scan bytes are accounted to
         // the execution totals (but not to any probe worker).
         let (build, build_deep, build_bytes, build_chunks) =
-            Self::collect_build(&m.b, tags, sets, &ticket)?;
+            Self::collect_build(&m.b, env, ticket)?;
         ticket.absorb_sweep(build_bytes, build_chunks);
         // Bucket by the stored deep ids — integer shifts, no spherical
         // lookups on the join's setup path.
         let index =
             ZoneIndex::build_from_deep(&build_deep, ZoneIndex::level_for_radius(m.radius_arcsec));
-        let n_workers = workers.min(probe.n_morsels()).max(1);
-        let queue = MorselQueue::build(&probe.morsel_bytes(), n_workers);
-        Some((
-            MatchJobCore {
-                predicate: spec.predicate.clone(),
-                sample: spec.sample,
-                radius_arcsec: m.radius_arcsec,
-                build,
-                index,
-                probe,
-                queue,
-                ticket,
-            },
-            n_workers,
-        ))
+        let join = MatchJoin {
+            predicate: spec.predicate.clone(),
+            radius_arcsec: m.radius_arcsec,
+            build,
+            index,
+        };
+        let run = MorselRun::new(probe, None, spec.sample, env.workers, ticket.clone());
+        Some((join, run))
     }
 
     /// One join input as a morsel source, delegated to the scan path's
     /// own resolver via a bare scan spec: stored sets expose their
     /// chunks, the archive resolves to a whole-sky tag sweep plan
     /// (`domain: None` — MATCH has no cover to restrict it; the join
-    /// radius is the restriction). The probe side drains it in
-    /// parallel; the build side drains it serially in `collect_build`.
-    fn resolve_input(
-        input: &MatchInput,
-        tags: &Option<Arc<TagStore>>,
-        sets: &HashMap<String, Arc<ResultSet>>,
-        ticket: &TicketCore,
-    ) -> Option<ScanSource> {
+    /// radius is the restriction). The probe side drains it through the
+    /// morsel driver; the build side drains it serially in
+    /// `collect_build`.
+    fn resolve_input(input: &MatchInput, env: &ExecEnv, ticket: &TicketCore) -> Option<ScanSource> {
         let source = match input {
             MatchInput::Set(name) => QuerySource::Set(name.clone()),
             MatchInput::Archive => QuerySource::Tag,
@@ -1333,25 +1449,22 @@ impl MatchJobCore {
             columns: Vec::new(),
             sample: None,
         };
-        ScanSource::resolve(tags.clone(), sets, &spec, None, ticket)
+        ScanSource::resolve(env, &spec, ticket)
     }
 
     /// Materialize the build side as owned tag rows plus their stored
     /// level-20 HTM ids (the zone index buckets by shift-ancestor of
     /// `htm20` — no per-row spherical lookup; this is exactly why
-    /// materialized sets preserve `htm20`). Resolution and the batch
-    /// drain go through the same [`ScanSource`] seam as the probe side;
-    /// cancellation is checked per morsel — a whole-archive build side
-    /// is the most expensive thing a cancelled MATCH could otherwise
-    /// keep doing. The zone index holds row indices into the returned
-    /// vector.
+    /// materialized sets preserve `htm20`). Cancellation is checked per
+    /// morsel — a whole-archive build side is the most expensive thing a
+    /// cancelled MATCH could otherwise keep doing. The zone index holds
+    /// row indices into the returned vector.
     fn collect_build(
         input: &MatchInput,
-        tags: &Option<Arc<TagStore>>,
-        sets: &HashMap<String, Arc<ResultSet>>,
+        env: &ExecEnv,
         ticket: &TicketCore,
     ) -> Option<(Vec<TagObject>, Vec<u64>, usize, usize)> {
-        let source = Self::resolve_input(input, tags, sets, ticket)?;
+        let source = Self::resolve_input(input, env, ticket)?;
         let mut rows = Vec::new();
         let mut deep = Vec::new();
         let mut bytes = 0usize;
@@ -1372,407 +1485,115 @@ impl MatchJobCore {
         Some((rows, deep, bytes, containers))
     }
 
-    /// Drain probe morsels for worker `w`, streaming every surviving
-    /// pair (identity pairs excluded, sample applied probe-side,
-    /// predicate evaluated per pair). `on_pair` returns `false` to
-    /// abort (consumer hang-up). Registers the worker's accounting.
-    fn drain_worker(&self, w: usize, mut on_pair: impl FnMut(&PairSource<'_>) -> bool) {
-        let mut local = RegionScan::default();
-        let mut morsels = 0u64;
+    /// Probe every selected row of one probe-side batch against the zone
+    /// index, calling `on_pair` for each surviving pair (identity pairs
+    /// excluded, predicate evaluated per pair). Returns the pair count;
+    /// breaks when `on_pair` returns `false` or the probe fails.
+    fn probe(
+        &self,
+        batch: &ColumnBatch<'_>,
+        keep: &SelectionMask,
+        ticket: &TicketCore,
+        mut on_pair: impl FnMut(&PairSource<'_>) -> bool,
+    ) -> ControlFlow<u64, u64> {
         let mut pairs = 0u64;
         let mut alive = true;
-        while alive && !self.ticket.is_cancelled() {
-            let Some(m) = self.queue.next(w) else { break };
-            morsels += 1;
-            let (stats, _) = self.probe.scan_morsel(m, |batch, sel| {
-                if self.ticket.is_cancelled() {
-                    return false;
-                }
-                for i in sel.iter_set() {
-                    let a = batch.row(i);
-                    if let Some(f) = self.sample {
-                        if !sample_hash_keep(a.obj_id, f) {
-                            continue;
+        for i in keep.iter_set() {
+            let a = batch.row(i);
+            let probed = self.index.neighbors_within(
+                &self.build,
+                a.unit_vec(),
+                self.radius_arcsec,
+                |ri, sep| {
+                    let b = &self.build[ri as usize];
+                    // An object is not its own neighbor: the self-join
+                    // identity pair (sep = 0) carries no information.
+                    if !alive || b.obj_id == a.obj_id {
+                        return;
+                    }
+                    let pair = PairSource {
+                        a: &a,
+                        b,
+                        sep_arcsec: sep,
+                    };
+                    if let Some(pred) = &self.predicate {
+                        // Type errors drop the pair, like the
+                        // row-wise scan fallback.
+                        if !matches!(eval(pred, &pair), Ok(Value::Bool(true))) {
+                            return;
                         }
                     }
-                    let probed = self.index.neighbors_within(
-                        &self.build,
-                        a.unit_vec(),
-                        self.radius_arcsec,
-                        |ri, sep| {
-                            if !alive {
-                                return;
-                            }
-                            let b = &self.build[ri as usize];
-                            // An object is not its own neighbor: the
-                            // self-join identity pair (sep = 0) carries
-                            // no information.
-                            if b.obj_id == a.obj_id {
-                                return;
-                            }
-                            let pair = PairSource {
-                                a: &a,
-                                b,
-                                sep_arcsec: sep,
-                            };
-                            if let Some(pred) = &self.predicate {
-                                match eval(pred, &pair) {
-                                    Ok(Value::Bool(true)) => {}
-                                    // Type errors drop the pair, like
-                                    // the row-wise scan fallback.
-                                    Ok(_) | Err(_) => return,
-                                }
-                            }
-                            pairs += 1;
-                            if !on_pair(&pair) {
-                                alive = false;
-                            }
-                        },
-                    );
-                    if let Err(e) = probed {
-                        self.ticket
-                            .record_failure(format!("MATCH probe failed: {e}"));
-                        return false;
-                    }
-                    if !alive {
-                        return false;
-                    }
-                }
-                true
-            });
-            local.merge(&stats);
-        }
-        self.ticket.note_worker(WorkerScan {
-            bytes_scanned: local.bytes_scanned as u64,
-            morsels,
-            rows_selected: pairs,
-        });
-        self.ticket.absorb_scan(&local);
-    }
-}
-
-/// Spawn a MATCH projection scan: probe workers drain morsels from the
-/// byte-balanced queue, join each probe row against the zone index, and
-/// stream projected pair rows into the shared channel.
-fn spawn_match_scan(
-    env: &ExecEnv,
-    spec: ScanSpec,
-    m: MatchSpec,
-    ticket: &Arc<TicketCore>,
-) -> BatchHandle {
-    let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
-    let columns: Arc<Vec<String>> = Arc::new(spec.columns.iter().map(|(n, _)| n.clone()).collect());
-    let exprs: Arc<Vec<Expr>> = Arc::new(spec.columns.iter().map(|(_, e)| e.clone()).collect());
-    let tags = env.tags.clone();
-    let sets = env.sets.clone();
-    let workers = env.workers.max(1);
-    let ticket = ticket.clone();
-    spawn_guarded(ticket.clone(), move || {
-        let Some((core, n_workers)) =
-            MatchJobCore::prepare(&tags, &sets, &spec, m, workers, ticket.clone())
-        else {
-            return;
-        };
-        let core = Arc::new(core);
-        for w in 1..n_workers {
-            let core = core.clone();
-            let exprs = exprs.clone();
-            let tx = tx.clone();
-            spawn_guarded(core.ticket.clone(), move || {
-                run_match_scan_worker(&core, &exprs, &tx, w)
-            });
-        }
-        run_match_scan_worker(&core, &exprs, &tx, 0);
-    });
-    BatchHandle { columns, rx }
-}
-
-/// One MATCH projection worker: evaluate the output expressions per
-/// pair and ship row batches (pair rows are heterogeneous expression
-/// results — the row form of the fabric, like every non-compiled path).
-fn run_match_scan_worker(core: &MatchJobCore, exprs: &[Expr], tx: &Sender<ResultBatch>, w: usize) {
-    let mut out: Vec<Row> = Vec::with_capacity(BATCH);
-    let mut aborted = false;
-    core.drain_worker(w, |pair| {
-        let mut row: Row = Vec::with_capacity(exprs.len());
-        for expr in exprs {
-            row.push(eval(expr, pair).unwrap_or(Value::Null));
-        }
-        out.push(row);
-        if out.len() >= BATCH {
-            core.ticket.note_batch(out.len());
-            if tx
-                .send(ResultBatch::Rows(std::mem::take(&mut out)))
-                .is_err()
-            {
-                aborted = true;
-                return false;
-            }
-        }
-        true
-    });
-    if !aborted && !out.is_empty() {
-        core.ticket.note_batch(out.len());
-        let _ = tx.send(ResultBatch::Rows(out));
-    }
-}
-
-/// Spawn a MATCH aggregate with in-scan folding: probe workers fold
-/// per-worker partial accumulators over the pairs they produce (the
-/// `COUNT(*)` pair-count of the paper's neighbor queries never ships a
-/// pair stream), and the coordinator merges partials into one row.
-fn spawn_match_agg_scan(
-    env: &ExecEnv,
-    spec: ScanSpec,
-    m: MatchSpec,
-    aggs: Vec<AggSpec>,
-    ticket: &Arc<TicketCore>,
-) -> BatchHandle {
-    let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
-    let columns = Arc::new(aggs.iter().map(|a| a.name.clone()).collect::<Vec<_>>());
-    let funcs: Vec<AggFn> = aggs.iter().map(|a| a.func).collect();
-    let args: Arc<Vec<Option<Expr>>> = Arc::new(aggs.into_iter().map(|a| a.arg).collect());
-    let tags = env.tags.clone();
-    let sets = env.sets.clone();
-    let workers = env.workers.max(1);
-    let ticket = ticket.clone();
-    spawn_guarded(ticket.clone(), move || {
-        let Some((core, n_workers)) =
-            MatchJobCore::prepare(&tags, &sets, &spec, m, workers, ticket.clone())
-        else {
-            return;
-        };
-        let core = Arc::new(core);
-        let (ptx, prx) = bounded::<Vec<AggAcc>>(n_workers);
-        for w in 1..n_workers {
-            let core = core.clone();
-            let args = args.clone();
-            let funcs = funcs.clone();
-            let ptx = ptx.clone();
-            spawn_guarded(core.ticket.clone(), move || {
-                let _ = ptx.send(run_match_agg_worker(&core, &args, &funcs, w));
-            });
-        }
-        let _ = ptx.send(run_match_agg_worker(&core, &args, &funcs, 0));
-        drop(ptx);
-        let mut acc: Vec<AggAcc> = funcs.iter().map(|&f| AggAcc::new(f)).collect();
-        for partial in prx.iter() {
-            for (a, p) in acc.iter_mut().zip(partial) {
-                a.merge(p);
-            }
-        }
-        let row: Row = acc.into_iter().map(AggAcc::finish).collect();
-        ticket.note_emitted();
-        let _ = tx.send(ResultBatch::Rows(vec![row]));
-    });
-    BatchHandle { columns, rx }
-}
-
-/// One MATCH aggregate worker: fold each surviving pair straight into
-/// the partial accumulators.
-fn run_match_agg_worker(
-    core: &MatchJobCore,
-    args: &[Option<Expr>],
-    funcs: &[AggFn],
-    w: usize,
-) -> Vec<AggAcc> {
-    let mut accs: Vec<AggAcc> = funcs.iter().map(|&f| AggAcc::new(f)).collect();
-    let mut folded = 0u64;
-    core.drain_worker(w, |pair| {
-        folded += 1;
-        for (acc, arg) in accs.iter_mut().zip(args) {
-            let v = arg
-                .as_ref()
-                .and_then(|e| eval(e, pair).ok())
-                .and_then(|v| v.as_num());
-            acc.update(v);
-        }
-        true
-    });
-    // Folded pairs never ship as batches; count them into the scan
-    // totals like the in-scan aggregate over a normal scan does, so
-    // `QueryStats.scan.rows_scanned` stays comparable across shapes.
-    core.ticket.note_rows(folded);
-    accs
-}
-
-// ---------------------------------------------------------------------
-// The direct columnar INTO fast path
-// ---------------------------------------------------------------------
-
-/// Gate for the direct columnar INTO fast path: `Some(pred)` iff the
-/// scan reads a columnar source (tag partition or stored set) and its
-/// predicate (when present) compiles. The projection is irrelevant — an
-/// INTO materializes whole tag records, which the column lanes already
-/// carry.
-pub(crate) fn compile_into_scan(
-    spec: &ScanSpec,
-    tags_available: bool,
-    mode: ExecMode,
-) -> Option<Option<CompiledPredicate>> {
-    if mode != ExecMode::Auto || !columnar_source(spec, tags_available) {
-        return None;
-    }
-    match &spec.predicate {
-        None => Some(None),
-        Some(p) => compile_predicate(p).map(Some),
-    }
-}
-
-/// Drive a compiled tag/set scan straight into a materialization sink:
-/// selected rows leave the [`ColumnBatch`] lanes as owned tag records +
-/// `htm20`, with **no per-objid full-store fetch** — the direct columnar
-/// INTO fast path. The sink may error (quota enforcement) to abort the
-/// scan. Tag containers and stored sets both hold each object at most
-/// once, so the sink sees no duplicate object pointers (the property
-/// the slow path's dedup hash exists to establish for set-op streams).
-pub(crate) fn drive_into_scan(
-    tags: Option<Arc<TagStore>>,
-    sets: &HashMap<String, Arc<ResultSet>>,
-    spec: &ScanSpec,
-    pred: Option<CompiledPredicate>,
-    cover_level: Option<u8>,
-    ticket: &Arc<TicketCore>,
-    mut sink: impl FnMut(&TagObject, u64) -> Result<(), QueryError>,
-) -> Result<(), QueryError> {
-    let Some(source) = ScanSource::resolve(tags, sets, spec, cover_level, ticket) else {
-        return Err(QueryError::Exec(ticket.failure().unwrap_or_else(|| {
-            "INTO scan source resolution failed".to_string()
-        })));
-    };
-    if let Some(hit) = source.cover_cache_hit() {
-        ticket.note_cover(hit);
-    }
-    let mut scratch = BatchScratch::new();
-    let mut keep_scratch: Vec<usize> = Vec::new();
-    let mut local = RegionScan::default();
-    let mut selected = 0u64;
-    let mut morsels = 0u64;
-    let mut err: Option<QueryError> = None;
-    for m in 0..source.n_morsels() {
-        if ticket.is_cancelled() {
-            break;
-        }
-        morsels += 1;
-        let (stats, _) = source.scan_morsel(m, |batch, sel| {
-            let keep = select_rows(
-                &pred,
-                spec.sample,
-                batch,
-                sel,
-                &mut scratch,
-                &mut keep_scratch,
+                    pairs += 1;
+                    alive = on_pair(&pair);
+                },
             );
-            let kept = keep.count();
-            if kept > 0 {
-                selected += kept as u64;
-                ticket.note_batch(kept);
-                for i in keep.iter_set() {
-                    if let Err(e) = sink(&batch.row(i), batch.htm20[i]) {
-                        err = Some(e);
-                        return false;
-                    }
-                }
+            if let Err(e) = probed {
+                ticket.record_failure(format!("MATCH probe failed: {e}"));
+                return ControlFlow::Break(pairs);
             }
-            true
-        });
-        local.merge(&stats);
-        if err.is_some() {
-            break;
+            if !alive {
+                return ControlFlow::Break(pairs);
+            }
         }
-    }
-    ticket.note_worker(WorkerScan {
-        bytes_scanned: local.bytes_scanned as u64,
-        morsels,
-        rows_selected: selected,
-    });
-    ticket.absorb_scan(&local);
-    match err {
-        Some(e) => Err(e),
-        None => Ok(()),
+        ControlFlow::Continue(pairs)
     }
 }
 
-/// Lower `Aggregate(Scan)` for in-scan folding: `Some` iff the scan
-/// itself compiles and every aggregate argument lowers to a numeric
-/// program. The fallback is the channel path (scan projects `__agg_i`
-/// columns, the Aggregate node folds them).
-fn compile_agg_scan(
-    spec: &ScanSpec,
-    aggs: &[AggSpec],
-    tags_available: bool,
-    mode: ExecMode,
-) -> Option<(Option<CompiledPredicate>, CompiledAggInputs)> {
-    if mode != ExecMode::Auto || !columnar_source(spec, tags_available) {
-        return None;
-    }
-    let pred = match &spec.predicate {
-        None => None,
-        Some(p) => Some(compile_predicate(p)?),
-    };
-    let args: Vec<Option<&crate::ast::Expr>> = aggs.iter().map(|a| a.arg.as_ref()).collect();
-    Some((pred, compile_agg_inputs(&args)?))
-}
-
-/// Spawn the fused aggregate scan: morsel workers fold partials, the
-/// coordinator merges them and emits one row.
-fn spawn_agg_scan(
+/// Spawn a MATCH join. Probe workers drain the probe side on the morsel
+/// driver and join each selected row against the zone index. Without
+/// `aggs` they stream projected pair rows (heterogeneous expression
+/// results — the row form of the fabric); with `aggs` they fold
+/// per-worker partials over the pairs (the `COUNT(*)` pair-count of the
+/// paper's neighbor queries never ships a pair stream).
+fn spawn_match(
     env: &ExecEnv,
     spec: ScanSpec,
-    aggs: Vec<AggSpec>,
-    pred: Option<CompiledPredicate>,
-    inputs: CompiledAggInputs,
+    m: MatchSpec,
+    aggs: Option<Vec<AggSpec>>,
     ticket: &Arc<TicketCore>,
 ) -> BatchHandle {
     let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
-    let columns = Arc::new(aggs.iter().map(|a| a.name.clone()).collect::<Vec<_>>());
-    let funcs: Vec<AggFn> = aggs.iter().map(|a| a.func).collect();
-    let tags = env.tags.clone();
-    let sets = env.sets.clone();
-    let cover_level = env.cover_level;
-    let workers = env.workers.max(1);
+    let columns: Vec<String> = match &aggs {
+        Some(aggs) => aggs.iter().map(|a| a.name.clone()).collect(),
+        None => spec.columns.iter().map(|(n, _)| n.clone()).collect(),
+    };
+    let env = env.clone();
     let ticket = ticket.clone();
     spawn_guarded(ticket.clone(), move || {
-        let Some(source) = ScanSource::resolve(tags, &sets, &spec, cover_level, &ticket) else {
+        let Some((join, run)) = MatchJoin::open(&env, &spec, &m, &ticket) else {
             return;
         };
-        if let Some(hit) = source.cover_cache_hit() {
-            ticket.note_cover(hit);
-        }
-        let n_workers = workers.min(source.n_morsels()).max(1);
-        let job = Arc::new(AggScanJob {
-            pred,
-            inputs,
-            funcs: funcs.clone(),
-            sample: spec.sample,
-            queue: MorselQueue::build(&source.morsel_bytes(), n_workers),
-            source,
-            ticket: ticket.clone(),
-        });
-        let (ptx, prx) = bounded::<Vec<AggAcc>>(n_workers);
-        for w in 1..n_workers {
-            let job = job.clone();
-            let ptx = ptx.clone();
-            spawn_guarded(ticket.clone(), move || {
-                let _ = ptx.send(job.run_worker(w));
+        if let Some(aggs) = aggs {
+            let funcs: Vec<AggFn> = aggs.iter().map(|a| a.func).collect();
+            fold_and_emit(&run, &funcs, &tx, |batch, keep, _, accs| {
+                join.probe(batch, keep, &ticket, |pair| {
+                    for (acc, a) in accs.iter_mut().zip(&aggs) {
+                        let v = a.arg.as_ref().and_then(|e| eval(e, pair).ok());
+                        acc.update(v.and_then(|v| v.as_num()));
+                    }
+                    true
+                })
             });
+            return;
         }
-        let _ = ptx.send(job.run_worker(0));
-        drop(ptx);
-        // Merge partials at the edge. A panicked worker drops its sender
-        // without a partial; its failure is already on the ticket and
-        // the merge proceeds over what arrived.
-        let mut acc: Vec<AggAcc> = funcs.iter().map(|&f| AggAcc::new(f)).collect();
-        for partial in prx.iter() {
-            for (a, p) in acc.iter_mut().zip(partial) {
-                a.merge(p);
+        fan_out(&ticket, run.workers(), |w| {
+            let mut out: Vec<Row> = Vec::with_capacity(BATCH);
+            run.drain(w, |batch, keep, _| {
+                join.probe(batch, keep, &ticket, |pair| {
+                    let row = spec.columns.iter().map(|(_, e)| eval(e, pair));
+                    out.push(row.map(|v| v.unwrap_or(Value::Null)).collect());
+                    out.len() < BATCH || send_rows(&ticket, &tx, &mut out)
+                })
+            });
+            if !out.is_empty() {
+                send_rows(&ticket, &tx, &mut out);
             }
-        }
-        let row: Row = acc.into_iter().map(AggAcc::finish).collect();
-        ticket.note_emitted();
-        let _ = tx.send(ResultBatch::Rows(vec![row]));
+        });
     });
-    BatchHandle { columns, rx }
+    BatchHandle {
+        columns: Arc::new(columns),
+        rx,
+    }
 }
 
 /// Wrapper so `&dyn AttrSource` satisfies the generic eval bound.
@@ -1968,6 +1789,24 @@ mod tests {
         }
         let msg = ticket.failure().expect("panic recorded");
         assert!(msg.contains("boom"), "{msg}");
+    }
+
+    #[test]
+    fn fan_out_collects_every_worker_and_surfaces_panics() {
+        let ticket = TicketCore::default();
+        let mut got = fan_out(&ticket, 4, |w| w * 10);
+        got.sort_unstable();
+        assert_eq!(got, vec![0, 10, 20, 30]);
+        assert!(ticket.failure().is_none());
+        // A panicking worker contributes no result; the others still do
+        // and the panic lands on the ticket.
+        let got = fan_out(&ticket, 3, |w| {
+            assert_ne!(w, 2, "worker two failed");
+            w
+        });
+        assert_eq!(got.len(), 2);
+        let msg = ticket.failure().expect("panic recorded");
+        assert!(msg.contains("worker two failed"), "{msg}");
     }
 
     #[test]

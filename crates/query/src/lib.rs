@@ -102,6 +102,24 @@
 //! # Ok::<(), sdss_query::QueryError>(())
 //! ```
 //!
+//! ## Result order
+//!
+//! A query **without ORDER BY has an unspecified row order.** Scans run
+//! morsel-parallel by default (the per-query worker grant defaults to the
+//! host core count), and parallel workers push batches into one channel
+//! in scheduling order, so the order can differ run to run and between
+//! hosts. What is specified is the *multiset* of rows: it is identical
+//! at every worker count, on every core count, and between the compiled
+//! and interpreted paths — the equivalence suites compare canonical
+//! multisets of bit-identical values. Callers that need an order say
+//! ORDER BY (a unique key such as `objid` makes `ORDER BY ... LIMIT n`
+//! deterministic too).
+//!
+//! Set operations key on `objid` and have set semantics: each object
+//! appears once. UNION returns the left side's row for objects on both
+//! sides and the right side's first row for right-only objects;
+//! INTERSECT and EXCEPT return left-side rows.
+//!
 //! Module map:
 //!
 //! * [`ast`] / [`lexer`] / [`parser`] — a small SQL-ish surface language
@@ -119,9 +137,11 @@
 //!   containers and stored-set chunks)
 //! * [`exec`] — multithreaded ASAP-push execution over crossbeam
 //!   channels; batches stay columnar through the fabric, and compiled
-//!   scans run **morsel-parallel**: the touched-container (or set-chunk)
-//!   list is a byte-balanced work queue drained by a pool of scan
-//!   workers, with `COUNT`/`SUM`/`MIN`/`MAX` folding inside the scan loop
+//!   scans run **morsel-parallel** on one morsel driver: the
+//!   touched-container (or set-chunk) list is a byte-balanced work queue
+//!   drained by scan workers. Projection scans, in-scan
+//!   `COUNT`/`SUM`/`MIN`/`MAX` folding, the direct `INTO` path and the
+//!   MATCH probe are all closures over that driver
 //! * [`archive`] — the server API: shared handle, prepared queries,
 //!   batch streams, tickets, admission control (slots accounted in
 //!   worker threads, cost-ordered queue), session registry

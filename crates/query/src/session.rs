@@ -334,7 +334,10 @@ impl Session {
 ///   the scan's column lanes into the [`ResultSetBuilder`]
 ///   ([`Prepared::run_into_columnar`]): no per-objid full-store fetch,
 ///   no dedup hash (those sources hold each object once), no channel
-///   fabric. This is the order-of-magnitude materialization win.
+///   fabric. It runs on the shared morsel driver of [`crate::exec`] —
+///   the same compile gate, row selection and accounting as every
+///   compiled scan — at one worker, holding one admission slot. This is
+///   the order-of-magnitude materialization win.
 /// * **Stream-and-fetch slow path** — every other shape (full-route
 ///   scans, set operations, sorted/limited streams, MATCH pair sets)
 ///   drives the admission-held stream and fetches one tag record per

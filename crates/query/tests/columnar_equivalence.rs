@@ -9,12 +9,19 @@
 //! SQRT/LOG10), spatial factors both extracted (CIRCLE conjuncts) and
 //! residual (inside OR) — plus NaN-producing shapes (SQRT of negatives,
 //! 0/0) whose rows the interpreter drops via comparison errors.
+//!
+//! None of these queries has an ORDER BY, so their row order is
+//! unspecified (parallel scan workers push batches in scheduling order —
+//! see the crate docs): results compare as multisets of bit-identical
+//! rows. The archives run with the default worker grant, so on a
+//! multi-core host the compiled side runs morsel-parallel against the
+//! serial interpreter.
 
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sdss_catalog::SkyModel;
-use sdss_query::{Archive, ArchiveConfig, ExecMode, Value};
+use sdss_query::{Archive, ArchiveConfig, ExecMode, Row, Value};
 use sdss_storage::{ObjectStore, StoreConfig, TagStore};
 use std::sync::Arc;
 
@@ -24,6 +31,23 @@ fn value_identical(a: &Value, b: &Value) -> bool {
         (Value::Num(x), Value::Num(y)) => x.to_bits() == y.to_bits(),
         _ => a == b,
     }
+}
+
+/// The rows in canonical order: sorted by a bit-exact key (`Num` by its
+/// bit pattern, so NaN keys equal NaN and -0.0 differs from +0.0 —
+/// the same identity `value_identical` checks), making the pairwise
+/// comparison below a multiset comparison.
+fn canonical(rows: &[Row]) -> Vec<&Row> {
+    let mut sorted: Vec<&Row> = rows.iter().collect();
+    sorted.sort_by_cached_key(|row| {
+        row.iter()
+            .map(|v| match v {
+                Value::Num(x) => format!("Num({:#018x})", x.to_bits()),
+                other => format!("{other:?}"),
+            })
+            .collect::<Vec<_>>()
+    });
+    sorted
 }
 
 struct QueryGen {
@@ -243,7 +267,11 @@ fn compiled_columnar_matches_interpreted_rows() {
             b.rows.len(),
             "case {case}: row count differs for {sql}"
         );
-        for (i, (ra, rb)) in a.rows.iter().zip(b.rows.iter()).enumerate() {
+        for (i, (ra, rb)) in canonical(&a.rows)
+            .into_iter()
+            .zip(canonical(&b.rows))
+            .enumerate()
+        {
             assert_eq!(ra.len(), rb.len());
             for (va, vb) in ra.iter().zip(rb.iter()) {
                 assert!(
@@ -285,7 +313,7 @@ fn equivalence_holds_across_cover_levels_and_skies() {
                 let a = auto.run(&sql).unwrap();
                 let b = interp.run(&sql).unwrap();
                 assert_eq!(a.rows.len(), b.rows.len(), "{sql} at level {cover_level}");
-                for (ra, rb) in a.rows.iter().zip(b.rows.iter()) {
+                for (ra, rb) in canonical(&a.rows).into_iter().zip(canonical(&b.rows)) {
                     for (va, vb) in ra.iter().zip(rb.iter()) {
                         assert!(value_identical(va, vb), "{sql} at level {cover_level}");
                     }

@@ -2,9 +2,14 @@
 //! parallel-vs-serial equivalence under randomized predicates, in-scan
 //! aggregate folding, worker cancellation, and worker-thread admission
 //! accounting.
+//!
+//! Queries without ORDER BY have an unspecified row order, so results
+//! compare as multisets (canonical row keys).
 
 use sdss_catalog::SkyModel;
-use sdss_query::{AdmissionConfig, Archive, ArchiveConfig, QueryOutput, Value};
+use sdss_query::{
+    AdmissionConfig, Archive, ArchiveConfig, QueryError, QueryOutput, SessionConfig, Value,
+};
 use sdss_storage::{ObjectStore, StoreConfig, TagStore};
 use std::sync::Arc;
 
@@ -79,6 +84,10 @@ fn parallel_matches_serial_on_randomized_predicates() {
     assert!(tags.num_containers() >= 4, "need several containers");
     let serial = archive_with_workers(&store, &tags, 1);
     let parallel = archive_with_workers(&store, &tags, 4);
+    // The result contract at other grants too: 2 and 8 workers return
+    // the serial multiset (8 exceeds this host's cores on small boxes —
+    // oversubscription must not change results either).
+    let others = [2usize, 8].map(|w| archive_with_workers(&store, &tags, w));
 
     let mut rng = Lcg(0x5eed_cafe);
     let mut sweeps = Vec::new();
@@ -112,6 +121,15 @@ fn parallel_matches_serial_on_randomized_predicates() {
         let a = serial.run(sql).unwrap();
         let b = parallel.run(sql).unwrap();
         assert_eq!(keyed(&a), keyed(&b), "parallel diverged on: {sql}");
+        for other in &others {
+            let c = other.run(sql).unwrap();
+            assert_eq!(
+                keyed(&a),
+                keyed(&c),
+                "{} workers diverged on: {sql}",
+                c.stats.workers_granted
+            );
+        }
         // Per-worker byte accounting adds up to the scan total on the
         // morsel path (single-leaf queries only; set ops have two scans
         // whose workers all register on one ticket).
@@ -249,7 +267,8 @@ fn parallel_sweep_holds_one_slot_per_worker() {
     let mut stream = prepared.stream().unwrap();
     assert!(stream.next_batch().is_some());
     // Mid-flight, the execution holds one admission slot per granted
-    // worker — the contract dataflow::pool documents.
+    // worker — the slot-accounting contract documented on the morsel
+    // driver (`MorselRun` in sdss_query's exec module).
     assert_eq!(parallel.admission().running, 4);
     while stream.next_batch().is_some() {}
     let stats = stream.finish();
@@ -264,4 +283,98 @@ fn parallel_sweep_holds_one_slot_per_worker() {
         .unwrap();
     let touched = cone.estimate().containers_full + cone.estimate().containers_partial;
     assert!(cone.planned_workers() <= touched.max(1));
+}
+
+/// Every shape on the one morsel driver — projection scan, in-scan
+/// aggregate, the direct INTO path, MATCH pairs and MATCH COUNT —
+/// accounts the same way at 1, 2 and 4 workers: one morsel per source
+/// container/chunk, never more workers than granted, the same result
+/// multiset at every grant, and no admission slot left behind by a
+/// cancelled (or quota-aborted) run.
+#[test]
+fn every_driver_shape_accounts_alike_across_worker_counts() {
+    let (store, tags) = build_stores(46, 3000);
+    let containers = tags.num_containers() as u64;
+    // Per grant: (shape, canonical result) in a fixed shape order.
+    let mut per_grant: Vec<Vec<(String, Vec<String>)>> = Vec::new();
+    for workers in [1usize, 2, 4] {
+        let archive = archive_with_workers(&store, &tags, workers);
+        let session = archive.session_with(SessionConfig {
+            chunk_rows: 256,
+            ..SessionConfig::default()
+        });
+        // The INTO fast path: the driver at one worker, one slot.
+        let into = session
+            .run("SELECT objid INTO cand FROM photoobj WHERE r < 22")
+            .unwrap();
+        assert!(into.stats.columnar, "INTO took the stream-and-fetch route");
+        assert_eq!(into.stats.morsels, containers, "INTO at {workers}");
+        assert_eq!(into.stats.workers_granted, 1);
+        assert_eq!(into.stats.workers_used, 1);
+        assert_eq!(archive.admission().running, 0);
+        let chunks = session.set_info("cand").unwrap().chunks as u64;
+        assert!(chunks > 1, "need a multi-chunk probe side");
+        let stored = keyed(&session.run("SELECT objid, r FROM cand").unwrap());
+        let mut results = vec![("INTO cand".to_string(), stored)];
+
+        let shapes = [
+            ("SELECT objid, r, gr FROM photoobj WHERE r < 23", containers),
+            (
+                "SELECT COUNT(*), MIN(r), MAX(r) FROM photoobj WHERE gr > 0.2",
+                containers,
+            ),
+            ("SELECT a.objid, b.objid FROM MATCH(cand, cand, 60)", chunks),
+            ("SELECT COUNT(*) FROM MATCH(cand, cand, 60)", chunks),
+        ];
+        for (sql, morsels) in shapes {
+            let prepared = session.prepare(sql).unwrap();
+            let out = prepared.run().unwrap();
+            let s = &out.stats;
+            assert_eq!(s.morsels, morsels, "{sql} at {workers} workers");
+            // Multi-worker grants engage the pool on every shape.
+            let min_used = if workers > 1 { 2 } else { 1 };
+            assert!(s.workers_used >= min_used, "{sql} at {workers} workers");
+            assert!(
+                s.workers_used <= s.workers_granted,
+                "{sql}: {} workers ran on {} slots",
+                s.workers_used,
+                s.workers_granted
+            );
+            results.push((sql.to_string(), keyed(&out)));
+
+            // Cancelled before the first batch: the run winds down and
+            // every slot returns.
+            let mut stream = prepared.stream().unwrap();
+            stream.ticket().cancel();
+            while stream.next_batch().is_some() {}
+            let stats = stream.finish();
+            assert!(stats.workers_used <= stats.workers_granted, "{sql}");
+            assert_eq!(archive.admission().running, 0, "{sql} leaked slots");
+        }
+
+        // A quota-aborted INTO fast path returns its slot too.
+        let tight = archive.session_with(SessionConfig {
+            max_bytes: 4096,
+            ..SessionConfig::default()
+        });
+        let err = tight
+            .run("SELECT objid INTO big FROM photoobj WHERE r < 30")
+            .unwrap_err();
+        assert!(
+            matches!(&err, QueryError::Exec(m) if m.contains("quota")),
+            "{err:?}"
+        );
+        assert_eq!(archive.admission().running, 0, "aborted INTO leaked a slot");
+        per_grant.push(results);
+    }
+    for (workers, results) in [2, 4].iter().zip(&per_grant[1..]) {
+        for ((shape, want), (_, got)) in per_grant[0].iter().zip(results) {
+            assert!(
+                want == got,
+                "{shape}: {workers} workers diverged from 1 ({} vs {} rows)",
+                got.len(),
+                want.len()
+            );
+        }
+    }
 }
