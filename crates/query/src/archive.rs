@@ -27,7 +27,7 @@
 //!   a burst of full-sky sweeps cannot starve interactive cone searches.
 
 use crate::exec::{
-    compile_gate, into_scan, launch, plan_uses_columnar, BatchHandle, ExecEnv, ExecMode,
+    compile_gate, into_scan, launch, plan_uses_columnar, pull, ExecEnv, ExecMode, Operator,
     ResultBatch, Row, ScanTotals, TicketCore,
 };
 use crate::parser::parse_statement;
@@ -58,7 +58,7 @@ pub struct QueryStats {
     pub columnar: bool,
     /// Time spent queued for an admission slot before execution began.
     pub queue_time: Duration,
-    /// Latency from execution start (admission granted, threads
+    /// Latency from execution start (admission granted, scan leaves
     /// launched) until the first row reached the consumer — the ASAP
     /// metric. Parse/plan time is *not* included: `prepare` is a
     /// separate phase.
@@ -933,8 +933,10 @@ impl Prepared {
     /// Execute with `$N` parameters bound positionally (`params[0]` is
     /// `$1`). Binding substitutes literals into a clone of the plan —
     /// no re-parse, no re-plan, spatial covers and routing reused as-is.
-    /// Blocks while the admission pool is full (the queue), then
-    /// launches execution threads and returns the pull end.
+    /// Blocks while the admission pool is full (the queue), then starts
+    /// the scan leaves' producer threads and returns the pull end, whose
+    /// operators (limit, sort, aggregate, set ops) run on the caller's
+    /// thread as it pulls.
     ///
     /// **Deadlock note:** an open [`ResultStream`] holds its admission
     /// slots (one per granted worker, see [`Prepared::planned_workers`])
@@ -1012,8 +1014,9 @@ impl Prepared {
         }
     }
 
-    /// The post-admission half of an execution: spawn the node threads
-    /// and wrap the pull end.
+    /// The post-admission half of an execution: launch the plan (its
+    /// scan leaves start producing) and wrap the operator tree as the
+    /// pull end.
     fn launch_stream(&self, root: PlanNode, slot: SlotGuard, queue_time: Duration) -> ResultStream {
         let inner = &self.archive.inner;
         // The execution-truth flag: judged on the *bound* plan (binding
@@ -1031,10 +1034,12 @@ impl Prepared {
         let workers_granted = slot.weight;
         let leaves = count_scan_leaves(&root).max(1);
         let env = self.exec_env((workers_granted / leaves).max(1));
+        let columns = root.columns();
         let started = Instant::now();
-        let handle = launch(&env, root, &ticket);
+        let root = Some(launch(&env, root, &ticket));
         ResultStream {
-            handle,
+            columns,
+            root,
             ticket: QueryTicket { core: ticket },
             route: self.route,
             columnar,
@@ -1044,7 +1049,6 @@ impl Prepared {
             rows: 0,
             batches: 0,
             workers_granted,
-            finished: false,
             workspace: self.workspace.clone(),
             _slot: slot,
         }
@@ -1169,22 +1173,27 @@ impl QueryTicket {
         self.core.totals()
     }
 
-    /// The first execution-thread failure, if any (a failed producer
-    /// otherwise looks like a clean early end-of-stream).
+    /// The first execution failure, if any (a failed producer or
+    /// operator otherwise looks like a clean early end-of-stream).
     pub fn failure(&self) -> Option<String> {
         self.core.failure()
     }
 }
 
 /// The pull end of one execution: iterate [`ResultBatch`]es as they
-/// arrive (ASAP push upstream, pull at the edge), then call
-/// [`ResultStream::finish`] for the [`QueryStats`].
+/// arrive, then call [`ResultStream::finish`] for the [`QueryStats`].
+/// Scan leaves produce ahead on their own worker threads; the operators
+/// above them (limit, sort, aggregate, set ops) run on the thread that
+/// pulls, inside [`ResultStream::next_batch`].
 ///
-/// Dropping the stream mid-flight tears execution down: node threads
-/// observe the closed channel and exit. The admission slot is held until
-/// the stream is dropped or finished.
+/// Dropping the stream mid-flight tears execution down: the operator
+/// tree drops, leaf producers observe their closed channels, and the
+/// ticket is cancelled. The admission slot is held until the stream is
+/// dropped or finished.
 pub struct ResultStream {
-    handle: BatchHandle,
+    columns: Vec<String>,
+    /// The operator tree; `None` once the stream has ended.
+    root: Option<Operator>,
     ticket: QueryTicket,
     route: RouteChoice,
     columnar: bool,
@@ -1194,7 +1203,6 @@ pub struct ResultStream {
     rows: usize,
     batches: usize,
     workers_granted: usize,
-    finished: bool,
     /// Session this execution runs under: [`ResultStream::finish`]
     /// reports the final stats into its accumulated `SessionStats`.
     workspace: Option<Arc<SessionShared>>,
@@ -1204,7 +1212,7 @@ pub struct ResultStream {
 impl ResultStream {
     /// Output column names.
     pub fn columns(&self) -> &[String] {
-        &self.handle.columns
+        &self.columns
     }
 
     /// This execution's cancel/progress ticket.
@@ -1212,25 +1220,17 @@ impl ResultStream {
         self.ticket.clone()
     }
 
-    /// The next batch, blocking until one arrives or the plan finishes.
+    /// The next batch, blocking until one is ready or the plan finishes.
+    /// The plan's operators run here, on the caller's thread; an operator
+    /// panic ends the stream and shows up in [`ResultStream::failure`].
     pub fn next_batch(&mut self) -> Option<ResultBatch> {
-        if self.finished {
-            return None;
+        let batch = pull(&mut self.root, &self.ticket.core)?;
+        if self.first.is_none() && !batch.is_empty() {
+            self.first = Some(self.started.elapsed());
         }
-        match self.handle.rx.recv() {
-            Ok(batch) => {
-                if self.first.is_none() && !batch.is_empty() {
-                    self.first = Some(self.started.elapsed());
-                }
-                self.rows += batch.len();
-                self.batches += 1;
-                Some(batch)
-            }
-            Err(_) => {
-                self.finished = true;
-                None
-            }
-        }
+        self.rows += batch.len();
+        self.batches += 1;
+        Some(batch)
     }
 
     /// Statistics for what this stream consumed. Scan-side totals are
@@ -1239,11 +1239,11 @@ impl ResultStream {
     pub fn finish(self) -> QueryStats {
         // The consumer is done: cancel so producers still scanning stop
         // at their next morsel/batch check. On a fully drained plan this
-        // is a no-op (everything already exited); after a LIMIT cut the
-        // stream short, it keeps scan workers from burning CPU on
-        // morsels nobody will read — the slots return when `self` drops
-        // at the end of this call, and unaccounted background work is
-        // exactly what admission exists to prevent.
+        // is a no-op (everything already exited); on a stream abandoned
+        // part way it keeps scan workers from burning CPU on morsels
+        // nobody will read — the slots return when `self` drops at the
+        // end of this call, and unaccounted background work is exactly
+        // what admission exists to prevent.
         self.ticket.cancel();
         let stats = QueryStats {
             queue_time: self.queue_time,
@@ -1264,17 +1264,18 @@ impl ResultStream {
         stats
     }
 
-    /// The first execution-thread failure, if any. Meaningful once the
-    /// stream has drained: a dead producer closes its channel exactly
-    /// like a finished one, so callers that need the distinction check
-    /// here (or use [`ResultStream::collect_output`], which does).
+    /// The first execution failure (a scan worker's or an operator's),
+    /// if any. Meaningful once the stream has drained: a dead producer
+    /// closes its channel exactly like a finished one, so callers that
+    /// need the distinction check here (or use
+    /// [`ResultStream::collect_output`], which does).
     pub fn failure(&self) -> Option<String> {
         self.ticket.failure()
     }
 
-    /// Drain everything, materializing rows at the edge. Errors if an
-    /// execution thread failed mid-flight (the rows would be silently
-    /// truncated otherwise).
+    /// Drain everything, materializing rows at the edge. Errors if a
+    /// scan worker or operator failed mid-flight (the rows would be
+    /// silently truncated otherwise).
     pub fn collect_output(mut self) -> Result<QueryOutput, QueryError> {
         let columns = self.columns().to_vec();
         let mut rows: Vec<Row> = Vec::new();
@@ -1300,10 +1301,12 @@ impl Iterator for ResultStream {
     }
 }
 
-/// Abandoning a stream cancels its execution: without this, blocking
-/// nodes (Sort/Aggregate/Set) would keep draining their children to
-/// completion on detached threads *after* the admission slot returns to
-/// the pool — unaccounted background work admission exists to prevent.
+/// Abandoning a stream cancels its execution. Dropping the operator tree
+/// already stops leaves that stream (their next send fails), but the
+/// in-scan aggregate and MATCH-fold leaves only send at the end: without
+/// the cancel they would keep scanning *after* the admission slot
+/// returns to the pool — unaccounted background work admission exists
+/// to prevent.
 impl Drop for ResultStream {
     fn drop(&mut self) {
         self.ticket.cancel();

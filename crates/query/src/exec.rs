@@ -1,12 +1,20 @@
-//! Multithreaded QET execution with ASAP push streaming of *batches*.
+//! QET execution: a pull pipeline with ASAP streaming of *batches*.
 //!
-//! Every plan node runs on its own thread; results flow upward through
-//! bounded crossbeam channels as [`ResultBatch`]es. Scan/Limit nodes
-//! stream; Sort/Aggregate/Set nodes are the paper's blocking nodes ("at
-//! least one of the child nodes must be complete before results can be
-//! sent further up the tree"). The channel fabric gives the ASAP
-//! property: the first matching object reaches the consumer while scans
-//! are still running.
+//! `launch` turns a plan into a small operator tree. Its leaves are the
+//! scan producers — the columnar projection scan, the in-scan aggregate,
+//! the MATCH join and the row-interpreted fallback — and they are the
+//! only part of execution that runs threads: each leaf starts its guarded
+//! producer thread(s) at launch and fills one bounded channel with
+//! [`ResultBatch`]es. Limit, Sort, the channel Aggregate and Set are
+//! plain state machines pulled on the consumer's thread (through
+//! `pull`), with no thread and no channel of their own.
+//! Sort, Aggregate and Set are the paper's blocking nodes ("at least one
+//! of the child nodes must be complete before results can be sent
+//! further up the tree"); they drain their children on the first pull.
+//! Leaves stream while the consumer works, which is the ASAP property:
+//! the first matching object reaches the consumer while scans are still
+//! running. A query's threads are its scan workers, so they never exceed
+//! its admission worker grant.
 //!
 //! Tag and stored-set scans run **columnar**: the scan leaf pulls
 //! [`sdss_storage::ColumnBatch`]es from struct-of-arrays chunks,
@@ -32,16 +40,16 @@
 //! workers push into one channel in scheduling order. Only the multiset
 //! of rows is part of the result contract.
 //!
-//! Execution is owned, not scoped: stores travel as `Arc`s and node
-//! threads are detached, so a [`BatchHandle`] can outlive the call that
-//! launched it (the pull-based `ResultStream` of [`crate::archive`]).
-//! Producers observe consumer disappearance through channel send errors
-//! and cooperative cancellation through the shared [`TicketCore`].
+//! Execution is owned, not scoped: stores travel as `Arc`s, so an
+//! operator tree can outlive the call that launched it (the pull-based
+//! `ResultStream` of [`crate::archive`]). Dropping an operator drops its
+//! subtree, and leaf producers observe the disconnect as a failed send;
+//! cooperative cancellation goes through the shared [`TicketCore`].
 
-use crate::ast::{AggFn, Expr, Value};
+use crate::ast::{AggFn, Expr, SetOp, Value};
 use crate::compile::{
-    compile_agg_inputs, compile_predicate, compile_projection, BatchScratch, CompiledAggInputs,
-    CompiledPredicate, CompiledProjection,
+    compile_agg_inputs, compile_predicate, compile_projection, BatchScratch, CompiledPredicate,
+    CompiledProjection,
 };
 use crate::ops::{eval, AttrSource};
 use crate::plan::{AggSpec, MatchInput, MatchSpec, PlanNode, QuerySource, ScanSpec};
@@ -298,6 +306,23 @@ impl ResultBatch {
             ResultBatch::Rows(r) => r[row][col].as_id(),
         }
     }
+
+    /// The value at `(col, row)`, materialized.
+    fn value_at(&self, col: usize, row: usize) -> Value {
+        match self {
+            ResultBatch::Columnar(b) => b.columns[col].value_at(row),
+            ResultBatch::Rows(r) => r[row][col].clone(),
+        }
+    }
+
+    /// Row `row`, materialized, or moved out of a row batch (leaving an
+    /// empty row behind).
+    fn take_row(&mut self, row: usize) -> Row {
+        match self {
+            ResultBatch::Columnar(b) => b.columns.iter().map(|c| c.value_at(row)).collect(),
+            ResultBatch::Rows(r) => std::mem::take(&mut r[row]),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -327,8 +352,10 @@ pub struct TicketCore {
     /// One entry per scan worker that ran (parallel workers, the serial
     /// columnar driver, and the row fallback each register here).
     worker_scans: Mutex<Vec<WorkerScan>>,
-    /// First node-thread panic, surfaced instead of silently truncating
-    /// the result (detached threads have no join to propagate through).
+    /// First execution panic (a scan worker's, or an operator's on the
+    /// consumer thread), surfaced instead of silently truncating the
+    /// result: leaf producer threads are detached and have no join to
+    /// propagate through.
     failure: std::sync::Mutex<Option<String>>,
 }
 
@@ -363,7 +390,7 @@ pub struct ScanTotals {
 
 impl TicketCore {
     /// Request cooperative cancellation: scan leaves stop between
-    /// batches; blocking nodes drain out through closed channels.
+    /// batches.
     pub fn cancel(&self) {
         self.cancelled.store(true, Ordering::Relaxed);
     }
@@ -387,9 +414,9 @@ impl TicketCore {
         }
     }
 
-    /// The first execution-thread failure, if any (checked by consumers
-    /// once the stream drains — a closed channel alone looks identical
-    /// to a clean finish).
+    /// The first execution failure, if any (checked by consumers once the
+    /// stream drains — a closed channel alone looks identical to a clean
+    /// finish).
     pub fn failure(&self) -> Option<String> {
         self.failure.lock().unwrap().clone()
     }
@@ -503,13 +530,6 @@ pub struct ExecEnv {
     pub workers: usize,
 }
 
-/// A handle to a running (sub)tree: the receiving end of its output.
-pub struct BatchHandle {
-    /// Output column names (shared, not re-cloned per node).
-    pub columns: Arc<Vec<String>>,
-    pub rx: Receiver<ResultBatch>,
-}
-
 /// Is this scan's source columnar-capable? Tag scans need the tag store
 /// present; stored sets are columnar by construction (the workspace
 /// materialized them into SoA chunks); the full store has no SoA image.
@@ -574,17 +594,104 @@ pub fn plan_uses_columnar(plan: &PlanNode, tags_available: bool, mode: ExecMode)
     }
 }
 
-/// Launch a plan on detached node threads and return the root's handle.
-/// The caller pulls batches at its own pace; dropping the handle
-/// cascades channel-disconnect shutdown through the tree, and
-/// `ticket.cancel()` stops scans between batches.
-pub fn launch(env: &ExecEnv, plan: PlanNode, ticket: &Arc<TicketCore>) -> BatchHandle {
-    spawn_node(env, plan, ticket)
+/// Launch a plan: start every scan leaf's producer thread(s) and return
+/// the operator tree above them, for the caller to [`pull`] at its own
+/// pace. Dropping the tree drops the leaf channels; `ticket.cancel()`
+/// stops scans between batches.
+pub(crate) fn launch(env: &ExecEnv, plan: PlanNode, ticket: &Arc<TicketCore>) -> Operator {
+    match plan {
+        PlanNode::Scan(spec) => spawn_scan(env, spec, ticket),
+        PlanNode::Limit { child, n } => Operator::Limit {
+            child: Some(Box::new(launch(env, *child, ticket))),
+            remaining: n,
+        },
+        PlanNode::Sort { child, key, desc } => Operator::Sort {
+            key_idx: column_of(&child, &key),
+            child: Box::new(launch(env, *child, ticket)),
+            desc,
+        },
+        PlanNode::Aggregate { child, aggs } => {
+            let PlanNode::Scan(spec) = *child else {
+                unreachable!("the planner puts Aggregate directly over a Scan")
+            };
+            // In-scan folding: an aggregate over a compilable scan (or a
+            // MATCH) folds inside the morsel workers — no `__agg_i`
+            // columns, no per-row channel traffic.
+            if let QuerySource::Match(m) = spec.source.clone() {
+                return spawn_match(env, spec, m, Some(aggs), ticket);
+            }
+            let funcs: Vec<AggFn> = aggs.iter().map(|a| a.func).collect();
+            let args: Vec<Option<&Expr>> = aggs.iter().map(|a| a.arg.as_ref()).collect();
+            let lowered = compile_gate(&spec, env.tags.is_some(), env.mode)
+                .and_then(|pred| Some((pred, compile_agg_inputs(&args)?)));
+            if let Some((pred, inputs)) = lowered {
+                let env = env.clone();
+                return spawn_leaf(ticket, move |tx, ticket| {
+                    let Some(run) = MorselRun::open(&env, &spec, pred, env.workers, ticket) else {
+                        return;
+                    };
+                    fold_and_emit(&run, &funcs, tx, |batch, keep, scratch, accs| {
+                        inputs.fold(batch, keep, scratch, |i, v| accs[i].update(v));
+                        ControlFlow::Continue(keep.count() as u64)
+                    });
+                });
+            }
+            // The channel aggregate over the scan's hidden `__agg_i`
+            // columns (none for `COUNT(*)`), resolved once, not per row.
+            let arg_idx = (0..aggs.len())
+                .map(|i| {
+                    spec.columns
+                        .iter()
+                        .position(|(c, _)| *c == format!("__agg_{i}"))
+                })
+                .collect();
+            Operator::Aggregate {
+                child: Box::new(spawn_scan(env, spec, ticket)),
+                funcs,
+                arg_idx,
+            }
+        }
+        PlanNode::Set { op, left, right } => Operator::Set(Box::new(SetOperator {
+            op,
+            objid_idx: column_of(&left, "objid"),
+            left: launch(env, *left, ticket),
+            right: Some(launch(env, *right, ticket)),
+            ids: HashSet::new(),
+            right_batches: Vec::new(),
+            right_firsts: Vec::new(),
+        })),
+    }
+}
+
+/// The index of `plan`'s output column `name`: an ORDER BY key or a set
+/// operation's `objid`, which the planner keeps among the output columns.
+fn column_of(plan: &PlanNode, name: &str) -> usize {
+    let columns = plan.columns();
+    columns
+        .iter()
+        .position(|c| c == name)
+        .expect("planner kept the column")
+}
+
+/// Pull the next batch through the operator tree on the calling thread,
+/// blocking on leaf channels as needed. `None` at the end of the stream,
+/// and then the tree is dropped, disconnecting every leaf channel. An
+/// operator panic is recorded on the ticket (like a scan worker's) and
+/// ends the stream instead of unwinding into the caller: consumers check
+/// [`TicketCore::failure`], so it never reads as a clean, truncated
+/// result.
+pub(crate) fn pull(root: &mut Option<Operator>, ticket: &TicketCore) -> Option<ResultBatch> {
+    let op = root.as_mut()?;
+    let batch = guarded(ticket, || op.next()).flatten();
+    if batch.is_none() {
+        *root = None;
+    }
+    batch
 }
 
 /// Run `body`, recording a panic into the ticket instead of unwinding
-/// further — a silently dead producer would read as a clean (truncated)
-/// result.
+/// further — a silently dead producer or operator would read as a clean
+/// (truncated) result.
 fn guarded<T>(ticket: &TicketCore, body: impl FnOnce() -> T) -> Option<T> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
         Ok(v) => Some(v),
@@ -594,18 +701,28 @@ fn guarded<T>(ticket: &TicketCore, body: impl FnOnce() -> T) -> Option<T> {
                 .map(|s| s.to_string())
                 .or_else(|| panic.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "unknown panic payload".to_string());
-            ticket.record_failure(format!("execution thread panicked: {msg}"));
+            ticket.record_failure(format!("execution panicked: {msg}"));
             None
         }
     }
 }
 
-/// Spawn a detached node thread that records panics into the ticket —
-/// detached threads have no scope join to propagate through.
-fn spawn_guarded(ticket: Arc<TicketCore>, body: impl FnOnce() + Send + 'static) {
+/// Start a scan leaf: `produce` runs on one detached, guarded producer
+/// thread (fanning out to more workers inside it) and fills a bounded
+/// channel whose receiving end is the leaf operator. This is the only
+/// place execution spawns a detached thread or creates a channel. The
+/// sender outlives the guard, so a panic is on the ticket before the
+/// consumer sees the channel close.
+fn spawn_leaf(
+    ticket: &Arc<TicketCore>,
+    produce: impl FnOnce(&Sender<ResultBatch>, &Arc<TicketCore>) + Send + 'static,
+) -> Operator {
+    let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
+    let ticket = ticket.clone();
     std::thread::spawn(move || {
-        guarded(&ticket, body);
+        guarded(&ticket, || produce(&tx, &ticket));
     });
+    Operator::Leaf(rx)
 }
 
 /// Ship a full row buffer into the fabric; `false` once the consumer
@@ -615,206 +732,194 @@ fn send_rows(ticket: &TicketCore, tx: &Sender<ResultBatch>, out: &mut Vec<Row>) 
     tx.send(ResultBatch::Rows(std::mem::take(out))).is_ok()
 }
 
-fn spawn_node(env: &ExecEnv, node: PlanNode, ticket: &Arc<TicketCore>) -> BatchHandle {
-    match node {
-        PlanNode::Scan(spec) => spawn_scan(env, spec, ticket),
-        PlanNode::Limit { child, n } => {
-            let child_handle = spawn_node(env, *child, ticket);
-            let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
-            let columns = child_handle.columns.clone();
-            spawn_guarded(ticket.clone(), move || {
-                let mut remaining = n;
-                for mut batch in child_handle.rx.iter() {
-                    if remaining == 0 {
-                        break; // dropping rx cancels the child
-                    }
-                    batch.truncate(remaining);
-                    remaining -= batch.len();
-                    if tx.send(batch).is_err() {
-                        break;
-                    }
-                }
-            });
-            BatchHandle { columns, rx }
-        }
-        PlanNode::Sort { child, key, desc } => {
-            let child_handle = spawn_node(env, *child, ticket);
-            let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
-            let columns = child_handle.columns.clone();
-            let key_idx = columns.iter().position(|c| c == &key);
-            spawn_guarded(ticket.clone(), move || {
-                // Blocking node: drain the child completely first. Sort
-                // needs random access, so this is where columnar batches
-                // materialize.
-                let mut rows: Vec<Row> = Vec::new();
-                for batch in child_handle.rx.iter() {
-                    batch.append_rows(&mut rows);
-                }
-                if let Some(idx) = key_idx {
-                    rows.sort_by(|a, b| {
-                        let ord = compare_values(&a[idx], &b[idx]);
-                        if desc {
-                            ord.reverse()
-                        } else {
-                            ord
-                        }
-                    });
-                }
-                for chunk in rows.chunks(BATCH) {
-                    if tx.send(ResultBatch::Rows(chunk.to_vec())).is_err() {
-                        break;
-                    }
-                }
-            });
-            BatchHandle { columns, rx }
-        }
-        PlanNode::Aggregate { child, aggs } => {
-            // In-scan folding fast path: an aggregate directly over a
-            // compilable scan (or a MATCH) folds inside the morsel
-            // workers — no `__agg_i` columns, no per-row channel traffic.
-            let child = *child;
-            if let PlanNode::Scan(spec) = child {
-                if let QuerySource::Match(m) = spec.source.clone() {
-                    return spawn_match(env, spec, m, Some(aggs), ticket);
-                }
-                let args: Vec<Option<&Expr>> = aggs.iter().map(|a| a.arg.as_ref()).collect();
-                let lowered = compile_gate(&spec, env.tags.is_some(), env.mode)
-                    .and_then(|pred| Some((pred, compile_agg_inputs(&args)?)));
-                return match lowered {
-                    Some((pred, inputs)) => spawn_agg_scan(env, spec, aggs, pred, inputs, ticket),
-                    None => spawn_aggregate_over(env, PlanNode::Scan(spec), aggs, ticket),
-                };
+/// One node of a launched plan. Leaves own the receiving end of their
+/// producers' channel; every other operator is a state machine that
+/// pulls its children on the consumer's thread. Once exhausted, every
+/// operator keeps returning `None`.
+pub(crate) enum Operator {
+    /// A scan leaf's bounded channel.
+    Leaf(Receiver<ResultBatch>),
+    /// A blocking operator's finished result: `order` lists the
+    /// `(batch, row)` positions of its rows in output order. A row is
+    /// built (or moved, never cloned) only when its `BATCH`-sized chunk
+    /// ships, so rows a LIMIT never asks for are never built.
+    Buffered {
+        batches: Vec<ResultBatch>,
+        order: std::vec::IntoIter<(usize, usize)>,
+    },
+    /// Streams its child until `remaining` rows passed, then drops it.
+    Limit {
+        child: Option<Box<Operator>>,
+        remaining: usize,
+    },
+    /// Blocking: drains and sorts its child on the first pull.
+    Sort {
+        child: Box<Operator>,
+        key_idx: usize,
+        desc: bool,
+    },
+    /// Blocking: folds its child's hidden `__agg_i` columns into one row.
+    Aggregate {
+        child: Box<Operator>,
+        funcs: Vec<AggFn>,
+        arg_idx: Vec<Option<usize>>,
+    },
+    /// A set operation; see [`SetOperator`].
+    Set(Box<SetOperator>),
+}
+
+impl Operator {
+    /// The next batch of this operator's output (`None`: exhausted).
+    fn next(&mut self) -> Option<ResultBatch> {
+        let (batches, order) = match self {
+            Operator::Leaf(rx) => return rx.recv().ok(),
+            Operator::Buffered { batches, order } => {
+                let chunk: Vec<Row> = order
+                    .take(BATCH)
+                    .map(|(b, r)| batches[b].take_row(r))
+                    .collect();
+                return (!chunk.is_empty()).then_some(ResultBatch::Rows(chunk));
             }
-            spawn_aggregate_over(env, child, aggs, ticket)
-        }
-        PlanNode::Set { op, left, right } => {
-            let lh = spawn_node(env, *left, ticket);
-            let rh = spawn_node(env, *right, ticket);
-            let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
-            let columns = lh.columns.clone();
-            let objid_idx = columns
-                .iter()
-                .position(|c| c == "objid")
-                .expect("planner enforced objid for set ops");
-            let union = op == crate::ast::SetOp::Union;
-            spawn_guarded(ticket.clone(), move || {
-                // Blocking on the right side: build the key set. UNION
-                // also keeps the right side's first row per objid (its
-                // right-only rows are emitted whole); INTERSECT and
-                // EXCEPT only need the ids, so they never materialize
-                // right-side rows.
-                let mut right_ids: HashSet<u64> = HashSet::new();
-                let mut right_rows: Vec<Row> = Vec::new();
-                for batch in rh.rx.iter() {
-                    if union {
-                        for row in batch.rows() {
-                            if row[objid_idx]
-                                .as_id()
-                                .is_some_and(|id| right_ids.insert(id))
-                            {
-                                right_rows.push(row);
-                            }
-                        }
-                    } else {
-                        right_ids
-                            .extend((0..batch.len()).filter_map(|r| batch.id_at(objid_idx, r)));
-                    }
+            Operator::Limit { child, remaining } => {
+                let mut batch = child.as_mut().filter(|_| *remaining > 0)?.next();
+                if let Some(b) = &mut batch {
+                    b.truncate(*remaining);
+                    *remaining -= b.len();
                 }
-                // Stream the left side against it.
-                let mut seen: HashSet<u64> = HashSet::new();
-                let mut out = Vec::with_capacity(BATCH);
-                for batch in lh.rx.iter() {
-                    for row in batch.rows() {
-                        let Some(id) = row[objid_idx].as_id() else {
-                            continue;
-                        };
-                        if seen.contains(&id) {
-                            continue; // set semantics: dedupe left
-                        }
-                        let keep = match op {
-                            crate::ast::SetOp::Union => true,
-                            crate::ast::SetOp::Intersect => right_ids.contains(&id),
-                            crate::ast::SetOp::Except => !right_ids.contains(&id),
-                        };
-                        if keep {
-                            seen.insert(id);
-                            out.push(row);
-                            if out.len() >= BATCH
-                                && tx
-                                    .send(ResultBatch::Rows(std::mem::take(&mut out)))
-                                    .is_err()
-                            {
-                                return;
-                            }
+                if batch.is_none() || *remaining == 0 {
+                    // Release only this subtree: its leaves' producers
+                    // stop at their next send. No ticket cancel — a
+                    // sibling set-op branch must still run to completion.
+                    *child = None;
+                }
+                return batch;
+            }
+            Operator::Set(set) => match set.next() {
+                Some(batch) => return Some(batch),
+                None => set.right_only(),
+            },
+            Operator::Sort {
+                child,
+                key_idx,
+                desc,
+            } => {
+                // Sort the rows' positions by key; the batches stay as
+                // they arrived (columnar ones unmaterialized).
+                let batches: Vec<ResultBatch> = std::iter::from_fn(|| child.next()).collect();
+                let mut keyed: Vec<(Value, usize, usize)> = Vec::new();
+                for (b, batch) in batches.iter().enumerate() {
+                    keyed.extend((0..batch.len()).map(|r| (batch.value_at(*key_idx, r), b, r)));
+                }
+                keyed.sort_by(|x, y| match desc {
+                    true => compare_values(&y.0, &x.0),
+                    false => compare_values(&x.0, &y.0),
+                });
+                (batches, keyed.into_iter().map(|(_, b, r)| (b, r)).collect())
+            }
+            Operator::Aggregate {
+                child,
+                funcs,
+                arg_idx,
+            } => {
+                let mut acc: Vec<AggAcc> = funcs.iter().map(|&f| AggAcc::new(f)).collect();
+                while let Some(batch) = child.next() {
+                    // Accumulate straight off the batch — columnar lanes
+                    // fold without materializing rows.
+                    for r in 0..batch.len() {
+                        for (a, idx) in acc.iter_mut().zip(arg_idx.iter()) {
+                            a.update(idx.and_then(|idx| batch.num_at(idx, r)));
                         }
                     }
                 }
-                // Union also emits right-only rows.
-                for row in right_rows {
-                    if row[objid_idx].as_id().is_some_and(|id| !seen.contains(&id)) {
-                        out.push(row);
-                        if out.len() >= BATCH
-                            && tx
-                                .send(ResultBatch::Rows(std::mem::take(&mut out)))
-                                .is_err()
-                        {
-                            return;
-                        }
-                    }
-                }
-                if !out.is_empty() {
-                    let _ = tx.send(ResultBatch::Rows(out));
-                }
-            });
-            BatchHandle { columns, rx }
-        }
+                let row = acc.into_iter().map(AggAcc::finish).collect();
+                (vec![ResultBatch::Rows(vec![row])], vec![(0, 0)])
+            }
+        };
+        // A blocking operator has its result; it becomes that result (and
+        // drops its drained child).
+        *self = Operator::Buffered {
+            batches,
+            order: order.into_iter(),
+        };
+        self.next()
     }
 }
 
-/// The channel-path Aggregate node: drain the child's batches (which
-/// carry hidden `__agg_i` columns) and fold them into one row. The fused
-/// in-scan path ([`spawn_agg_scan`]) replaces this whenever the child is
-/// a compilable tag scan.
-fn spawn_aggregate_over(
-    env: &ExecEnv,
-    child: PlanNode,
-    aggs: Vec<AggSpec>,
-    ticket: &Arc<TicketCore>,
-) -> BatchHandle {
-    let child_handle = spawn_node(env, child, ticket);
-    let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
-    let columns = Arc::new(aggs.iter().map(|a| a.name.clone()).collect::<Vec<_>>());
-    // Resolve each aggregate's hidden `__agg_i` column up front
-    // instead of re-formatting the name per row.
-    let child_cols = child_handle.columns.clone();
-    let arg_idx: Vec<Option<usize>> = aggs
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            a.arg.as_ref().map(|_| {
-                child_cols
-                    .iter()
-                    .position(|c| c == &format!("__agg_{i}"))
-                    .expect("lowering appended the agg column")
-            })
-        })
-        .collect();
-    spawn_guarded(ticket.clone(), move || {
-        let mut acc: Vec<AggAcc> = aggs.iter().map(|a| AggAcc::new(a.func)).collect();
-        for batch in child_handle.rx.iter() {
-            // Accumulate straight off the batch — columnar lanes
-            // fold without materializing rows.
-            for r in 0..batch.len() {
-                for (i, idx) in arg_idx.iter().enumerate() {
-                    let v = idx.and_then(|idx| batch.num_at(idx, r));
-                    acc[i].update(v);
+/// A set operation keyed on `objid`: blocking on the right side (drained
+/// into the key set on the first pull), streaming on the left.
+pub(crate) struct SetOperator {
+    op: SetOp,
+    objid_idx: usize,
+    left: Operator,
+    /// `None` once drained.
+    right: Option<Operator>,
+    /// The right side's ids once it has drained. A left row then passes
+    /// under INTERSECT if its id is here, and takes it out; under EXCEPT
+    /// if its id is not here, and puts it in — either way a duplicate
+    /// left row cannot pass twice. UNION empties the set after the drain
+    /// and then passes left rows as EXCEPT does, so the set ends up
+    /// holding the left ids emitted.
+    ids: HashSet<u64>,
+    /// UNION only: the right side's batches and the `(batch, row)`
+    /// position of its first row per objid. Right-only rows are emitted
+    /// whole after the left side.
+    right_batches: Vec<ResultBatch>,
+    right_firsts: Vec<(usize, usize)>,
+}
+
+impl SetOperator {
+    /// The next batch of left-side rows that pass (`None`: left exhausted).
+    fn next(&mut self) -> Option<ResultBatch> {
+        let idx = self.objid_idx;
+        if let Some(mut right) = self.right.take() {
+            // INTERSECT and EXCEPT only need the ids; only UNION keeps
+            // the right side's (unmaterialized) batches.
+            let union = self.op == SetOp::Union;
+            while let Some(batch) = right.next() {
+                for r in 0..batch.len() {
+                    let first = batch.id_at(idx, r).is_some_and(|id| self.ids.insert(id));
+                    if first && union {
+                        self.right_firsts.push((self.right_batches.len(), r));
+                    }
+                }
+                if union {
+                    self.right_batches.push(batch);
+                }
+            }
+            if union {
+                self.ids.clear();
+            }
+        }
+        let mut out: Vec<Row> = Vec::with_capacity(BATCH);
+        while out.len() < BATCH {
+            let Some(batch) = self.left.next() else {
+                break;
+            };
+            for row in batch.rows() {
+                let keep = row[idx].as_id().is_some_and(|id| match self.op {
+                    SetOp::Intersect => self.ids.remove(&id),
+                    SetOp::Union | SetOp::Except => self.ids.insert(id),
+                });
+                if keep {
+                    out.push(row);
                 }
             }
         }
-        let row: Row = acc.into_iter().map(AggAcc::finish).collect();
-        let _ = tx.send(ResultBatch::Rows(vec![row]));
-    });
-    BatchHandle { columns, rx }
+        (!out.is_empty()).then_some(ResultBatch::Rows(out))
+    }
+
+    /// UNION's right-only rows, which follow the left side (none for
+    /// INTERSECT and EXCEPT), as `Operator::Buffered` parts.
+    fn right_only(&mut self) -> (Vec<ResultBatch>, Vec<(usize, usize)>) {
+        let batches = std::mem::take(&mut self.right_batches);
+        let mut order = std::mem::take(&mut self.right_firsts);
+        order.retain(|&(b, r)| {
+            batches[b]
+                .id_at(self.objid_idx, r)
+                .is_some_and(|id| !self.ids.contains(&id))
+        });
+        (batches, order)
+    }
 }
 
 /// Lower a scan: project columns (plus hidden aggregate argument columns,
@@ -822,25 +927,21 @@ fn spawn_aggregate_over(
 /// stored-set scans take the compiled path on the morsel driver when the
 /// predicate and projection both lower to bytecode; everything else
 /// interprets row-at-a-time.
-fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchHandle {
+fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> Operator {
     if let QuerySource::Match(m) = spec.source.clone() {
         return spawn_match(env, spec, m, None, ticket);
     }
-    let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
-    let columns: Arc<Vec<String>> = Arc::new(spec.columns.iter().map(|(n, _)| n.clone()).collect());
-    let cover_level = env.cover_level;
-    let ticket = ticket.clone();
+    let env = env.clone();
 
     // --- columnar fast path -------------------------------------------
     // Every worker streams projected batches into the same output
     // channel (the channel is the per-worker stream merge).
     if let Some((pred, proj)) = compile_scan(&spec, env.tags.is_some(), env.mode) {
-        let env = env.clone();
-        spawn_guarded(ticket.clone(), move || {
-            let Some(run) = MorselRun::open(&env, &spec, pred, env.workers, &ticket) else {
+        return spawn_leaf(ticket, move |tx, ticket| {
+            let Some(run) = MorselRun::open(&env, &spec, pred, env.workers, ticket) else {
                 return;
             };
-            fan_out(&ticket, run.workers(), |w| {
+            fan_out(ticket, run.workers(), |w| {
                 // Coalesced output: selective predicates keep few rows
                 // per input chunk; accumulating up to COALESCE_ROWS
                 // before a send amortizes the channel round-trip. Each
@@ -872,14 +973,10 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchH
                 }
             });
         });
-        return BatchHandle { columns, rx };
     }
 
     // --- row-at-a-time fallback ---------------------------------------
-    let store = env.store.clone();
-    let tags = env.tags.clone();
-    let sets = env.sets.clone();
-    spawn_guarded(ticket.clone(), move || {
+    spawn_leaf(ticket, move |tx, ticket| {
         let mut out: Vec<Row> = Vec::with_capacity(BATCH);
         let mut alive = true;
         let mut kept: u64 = 0;
@@ -912,15 +1009,15 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchH
             }
             out.push(row);
             kept += 1;
-            out.len() < BATCH || send_rows(&ticket, tx, &mut out)
+            out.len() < BATCH || send_rows(ticket, tx, &mut out)
         };
 
-        match (&spec.source, &tags) {
+        match (&spec.source, &env.tags) {
             // Stored sets interpret row-wise by rebuilding each chunk
             // row as a `TagObject` (sets are tag-shaped; the planner
             // kept any spatial factor in the predicate, so geometry
             // evaluates per row here).
-            (QuerySource::Set(name), _) => match sets.get(name) {
+            (QuerySource::Set(name), _) => match env.sets.get(name) {
                 Some(set) => {
                     let mut bytes = 0usize;
                     let mut containers = 0usize;
@@ -928,7 +1025,7 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchH
                         bytes += chunk.bytes();
                         containers += 1;
                         for i in 0..chunk.len() {
-                            if !emit(&chunk.row(i), &tx) {
+                            if !emit(&chunk.row(i), tx) {
                                 alive = false;
                                 break 'chunks;
                             }
@@ -946,8 +1043,8 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchH
             }
             (QuerySource::Tag, Some(tag_store)) => match &spec.domain {
                 Some(domain) => {
-                    if let Ok(stats) = tag_store.scan_region_until(domain, cover_level, |t| {
-                        alive = emit(t, &tx);
+                    if let Ok(stats) = tag_store.scan_region_until(domain, env.cover_level, |t| {
+                        alive = emit(t, tx);
                         alive
                     }) {
                         worker_bytes = stats.bytes_scanned as u64;
@@ -958,7 +1055,7 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchH
                     // Full tag scan (no spatial restriction); stops
                     // between records on cancel / consumer hang-up.
                     let (bytes, containers) = tag_store.scan_all_until(|t| {
-                        alive = emit(t, &tx);
+                        alive = emit(t, tx);
                         alive
                     });
                     worker_bytes = bytes as u64;
@@ -967,8 +1064,8 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchH
             },
             _ => match &spec.domain {
                 Some(domain) => {
-                    if let Ok(stats) = store.scan_region_until(domain, cover_level, |o| {
-                        alive = emit(o, &tx);
+                    if let Ok(stats) = env.store.scan_region_until(domain, env.cover_level, |o| {
+                        alive = emit(o, tx);
                         alive
                     }) {
                         worker_bytes = stats.bytes_scanned as u64;
@@ -976,8 +1073,8 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchH
                     }
                 }
                 None => {
-                    let (bytes, containers) = store.scan_all_until(|o| {
-                        alive = emit(o, &tx);
+                    let (bytes, containers) = env.store.scan_all_until(|o| {
+                        alive = emit(o, tx);
                         alive
                     });
                     worker_bytes = bytes as u64;
@@ -986,7 +1083,7 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchH
             },
         }
         if alive && !out.is_empty() {
-            send_rows(&ticket, &tx, &mut out);
+            send_rows(ticket, tx, &mut out);
         }
         // The interpreted scan is a single serial worker; register it so
         // `workers_used` is truthful on every path.
@@ -995,8 +1092,7 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchH
             morsels: 0,
             rows_selected: kept,
         });
-    });
-    BatchHandle { columns, rx }
+    })
 }
 
 /// The morsel driver's per-batch row selection: the cover mask ANDed
@@ -1293,33 +1389,6 @@ fn fold_and_emit(
     let _ = tx.send(ResultBatch::Rows(vec![row]));
 }
 
-/// The fused aggregate scan: morsel workers fold partials over the
-/// compiled aggregate inputs; the coordinator emits one row.
-fn spawn_agg_scan(
-    env: &ExecEnv,
-    spec: ScanSpec,
-    aggs: Vec<AggSpec>,
-    pred: Option<CompiledPredicate>,
-    inputs: CompiledAggInputs,
-    ticket: &Arc<TicketCore>,
-) -> BatchHandle {
-    let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
-    let columns = Arc::new(aggs.iter().map(|a| a.name.clone()).collect::<Vec<_>>());
-    let funcs: Vec<AggFn> = aggs.iter().map(|a| a.func).collect();
-    let env = env.clone();
-    let ticket = ticket.clone();
-    spawn_guarded(ticket.clone(), move || {
-        let Some(run) = MorselRun::open(&env, &spec, pred, env.workers, &ticket) else {
-            return;
-        };
-        fold_and_emit(&run, &funcs, &tx, |batch, keep, scratch, accs| {
-            inputs.fold(batch, keep, scratch, |i, v| accs[i].update(v));
-            ControlFlow::Continue(keep.count() as u64)
-        });
-    });
-    BatchHandle { columns, rx }
-}
-
 /// The direct columnar INTO fast path: the morsel driver at one worker
 /// (the caller holds one admission slot), selected rows leaving the
 /// [`ColumnBatch`] lanes as owned tag records + `htm20` with **no
@@ -1551,22 +1620,16 @@ fn spawn_match(
     m: MatchSpec,
     aggs: Option<Vec<AggSpec>>,
     ticket: &Arc<TicketCore>,
-) -> BatchHandle {
-    let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
-    let columns: Vec<String> = match &aggs {
-        Some(aggs) => aggs.iter().map(|a| a.name.clone()).collect(),
-        None => spec.columns.iter().map(|(n, _)| n.clone()).collect(),
-    };
+) -> Operator {
     let env = env.clone();
-    let ticket = ticket.clone();
-    spawn_guarded(ticket.clone(), move || {
-        let Some((join, run)) = MatchJoin::open(&env, &spec, &m, &ticket) else {
+    spawn_leaf(ticket, move |tx, ticket| {
+        let Some((join, run)) = MatchJoin::open(&env, &spec, &m, ticket) else {
             return;
         };
         if let Some(aggs) = aggs {
             let funcs: Vec<AggFn> = aggs.iter().map(|a| a.func).collect();
-            fold_and_emit(&run, &funcs, &tx, |batch, keep, _, accs| {
-                join.probe(batch, keep, &ticket, |pair| {
+            fold_and_emit(&run, &funcs, tx, |batch, keep, _, accs| {
+                join.probe(batch, keep, ticket, |pair| {
                     for (acc, a) in accs.iter_mut().zip(&aggs) {
                         let v = a.arg.as_ref().and_then(|e| eval(e, pair).ok());
                         acc.update(v.and_then(|v| v.as_num()));
@@ -1576,24 +1639,20 @@ fn spawn_match(
             });
             return;
         }
-        fan_out(&ticket, run.workers(), |w| {
+        fan_out(ticket, run.workers(), |w| {
             let mut out: Vec<Row> = Vec::with_capacity(BATCH);
             run.drain(w, |batch, keep, _| {
-                join.probe(batch, keep, &ticket, |pair| {
+                join.probe(batch, keep, ticket, |pair| {
                     let row = spec.columns.iter().map(|(_, e)| eval(e, pair));
                     out.push(row.map(|v| v.unwrap_or(Value::Null)).collect());
-                    out.len() < BATCH || send_rows(&ticket, &tx, &mut out)
+                    out.len() < BATCH || send_rows(ticket, tx, &mut out)
                 })
             });
             if !out.is_empty() {
-                send_rows(&ticket, &tx, &mut out);
+                send_rows(ticket, tx, &mut out);
             }
         });
-    });
-    BatchHandle {
-        columns: Arc::new(columns),
-        rx,
-    }
+    })
 }
 
 /// Wrapper so `&dyn AttrSource` satisfies the generic eval bound.
@@ -1777,18 +1836,140 @@ mod tests {
     }
 
     #[test]
-    fn guarded_spawn_surfaces_panics() {
+    fn leaf_panic_is_recorded_before_its_channel_closes() {
         let ticket = Arc::new(TicketCore::default());
-        spawn_guarded(ticket.clone(), || panic!("boom in a node thread"));
-        // The detached thread records its panic instead of vanishing.
-        for _ in 0..200 {
-            if ticket.failure().is_some() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
+        let mut leaf = spawn_leaf(&ticket, |_, _| panic!("boom in a scan leaf"));
+        // The sender outlives the guard: by the time the consumer sees
+        // the channel close, the panic is on the ticket.
+        assert!(leaf.next().is_none());
         let msg = ticket.failure().expect("panic recorded");
         assert!(msg.contains("boom"), "{msg}");
+    }
+
+    /// An operator tree over a hand-built leaf channel: returns the
+    /// sender so tests feed (or probe) the leaf directly.
+    fn tree_over(
+        op: impl FnOnce(Box<Operator>) -> Operator,
+    ) -> (Option<Operator>, Sender<ResultBatch>) {
+        let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
+        (Some(op(Box::new(Operator::Leaf(rx)))), tx)
+    }
+
+    fn id_rows(ids: std::ops::Range<u64>) -> ResultBatch {
+        ResultBatch::Rows(
+            ids.map(|i| vec![Value::Id(i), Value::Num((i % 7) as f64)])
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn operator_panic_ends_the_stream_as_a_recorded_failure() {
+        let ticket = TicketCore::default();
+        let (mut root, tx) = tree_over(|child| Operator::Sort {
+            child,
+            key_idx: 1,
+            desc: false,
+        });
+        // Rows shorter than the sort key index: Sort panics while
+        // comparing, on the consumer's thread.
+        let short = vec![vec![Value::Id(2)], vec![Value::Id(1)]];
+        tx.send(ResultBatch::Rows(short)).unwrap();
+        drop(tx);
+        assert!(
+            pull(&mut root, &ticket).is_none(),
+            "a failed sort must not emit"
+        );
+        let msg = ticket.failure().expect("operator panic recorded");
+        assert!(msg.contains("index out of bounds"), "{msg}");
+        // The stream stays ended and the operator tree is released.
+        assert!(root.is_none());
+        assert!(pull(&mut root, &ticket).is_none());
+    }
+
+    #[test]
+    fn sort_emits_batch_sized_chunks_in_key_order() {
+        let ticket = TicketCore::default();
+        let (mut root, tx) = tree_over(|child| Operator::Sort {
+            child,
+            key_idx: 1,
+            desc: true,
+        });
+        for range in [0..100, 100..250, 250..300] {
+            tx.send(id_rows(range)).unwrap();
+        }
+        drop(tx);
+        let batches: Vec<Vec<Row>> = std::iter::from_fn(|| pull(&mut root, &ticket))
+            .map(ResultBatch::rows)
+            .collect();
+        let sizes: Vec<usize> = batches.iter().map(Vec::len).collect();
+        assert_eq!(sizes, vec![BATCH, BATCH, 300 - 2 * BATCH]);
+        let keys: Vec<f64> = batches
+            .iter()
+            .flatten()
+            .map(|r| r[1].as_num().unwrap())
+            .collect();
+        assert!(keys.windows(2).all(|w| w[0] >= w[1]), "descending keys");
+        assert!(ticket.failure().is_none());
+    }
+
+    #[test]
+    fn set_operators_dedupe_the_left_side_and_keep_whole_right_only_rows() {
+        let leaf = |ids: &[u64], scale: f64| {
+            let (tx, rx) = bounded::<ResultBatch>(1);
+            let rows = ids
+                .iter()
+                .map(|&i| vec![Value::Id(i), Value::Num(i as f64 * scale)]);
+            tx.send(ResultBatch::Rows(rows.collect())).unwrap();
+            Operator::Leaf(rx)
+        };
+        let run = |op: SetOp| {
+            let ticket = TicketCore::default();
+            let mut root = Some(Operator::Set(Box::new(SetOperator {
+                op,
+                objid_idx: 0,
+                left: leaf(&[1, 2, 2, 3, 5, 3], 10.0),
+                right: Some(leaf(&[2, 4, 6, 4], 100.0)),
+                ids: HashSet::new(),
+                right_batches: Vec::new(),
+                right_firsts: Vec::new(),
+            })));
+            std::iter::from_fn(|| pull(&mut root, &ticket))
+                .flat_map(ResultBatch::rows)
+                .map(|r| (r[0].as_id().unwrap(), r[1].as_num().unwrap()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            run(SetOp::Union),
+            vec![
+                (1, 10.0),
+                (2, 20.0),
+                (3, 30.0),
+                (5, 50.0),
+                (4, 400.0),
+                (6, 600.0)
+            ]
+        );
+        assert_eq!(run(SetOp::Intersect), vec![(2, 20.0)]);
+        assert_eq!(run(SetOp::Except), vec![(1, 10.0), (3, 30.0), (5, 50.0)]);
+    }
+
+    #[test]
+    fn satisfied_limit_drops_its_child_without_cancelling() {
+        let ticket = TicketCore::default();
+        let (mut root, tx) = tree_over(|child| Operator::Limit {
+            child: Some(child),
+            remaining: 5,
+        });
+        tx.send(id_rows(0..3)).unwrap();
+        tx.send(id_rows(3..9)).unwrap();
+        assert_eq!(pull(&mut root, &ticket).map(|b| b.len()), Some(3));
+        assert_eq!(pull(&mut root, &ticket).map(|b| b.len()), Some(2));
+        // The leaf channel is disconnected as soon as the limit is met
+        // (before the consumer pulls again), so its producer stops at
+        // its next send; the ticket is left alone for sibling branches.
+        assert!(tx.send(id_rows(9..10)).is_err());
+        assert!(!ticket.is_cancelled());
+        assert!(pull(&mut root, &ticket).is_none());
     }
 
     #[test]

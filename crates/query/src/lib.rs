@@ -135,13 +135,15 @@
 //! * [`compile`] — predicate/projection compilation to register bytecode
 //!   evaluated over column batches (the E5 hot path, shared by tag
 //!   containers and stored-set chunks)
-//! * [`exec`] — multithreaded ASAP-push execution over crossbeam
-//!   channels; batches stay columnar through the fabric, and compiled
-//!   scans run **morsel-parallel** on one morsel driver: the
-//!   touched-container (or set-chunk) list is a byte-balanced work queue
-//!   drained by scan workers. Projection scans, in-scan
-//!   `COUNT`/`SUM`/`MIN`/`MAX` folding, the direct `INTO` path and the
-//!   MATCH probe are all closures over that driver
+//! * [`exec`] — ASAP execution as a pull pipeline: scan leaves push
+//!   batches through bounded crossbeam channels on their own worker
+//!   threads, and the operators above them (limit, sort, aggregate, set
+//!   ops) run on the consumer's thread; batches stay columnar through
+//!   the fabric, and compiled scans run **morsel-parallel** on one
+//!   morsel driver: the touched-container (or set-chunk) list is a
+//!   byte-balanced work queue drained by scan workers. Projection scans,
+//!   in-scan `COUNT`/`SUM`/`MIN`/`MAX` folding, the direct `INTO` path
+//!   and the MATCH probe are all closures over that driver
 //! * [`archive`] — the server API: shared handle, prepared queries,
 //!   batch streams, tickets, admission control (slots accounted in
 //!   worker threads, cost-ordered queue), session registry

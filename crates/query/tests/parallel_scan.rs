@@ -11,6 +11,7 @@ use sdss_query::{
     AdmissionConfig, Archive, ArchiveConfig, QueryError, QueryOutput, SessionConfig, Value,
 };
 use sdss_storage::{ObjectStore, StoreConfig, TagStore};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 fn build_stores(seed: u64, n_galaxies: usize) -> (Arc<ObjectStore>, Arc<TagStore>) {
@@ -44,6 +45,11 @@ fn archive_with_workers(store: &Arc<ObjectStore>, tags: &Arc<TagStore>, workers:
             ..ArchiveConfig::default()
         },
     )
+}
+
+/// A row's leading `objid`.
+fn id(row: &[Value]) -> u64 {
+    row[0].as_id().unwrap()
 }
 
 /// Canonical row-key form for order-insensitive result comparison.
@@ -172,6 +178,41 @@ fn sorted_limit_is_stable_across_worker_counts() {
     let a = serial.run(sql).unwrap();
     let b = parallel.run(sql).unwrap();
     assert_eq!(a.rows, b.rows);
+}
+
+#[test]
+fn limit_inside_a_set_op_branch_cuts_only_that_branch() {
+    let (store, tags) = build_stores(47, 12000);
+    // Disjoint cuts: the UNION is exactly k limited rows plus every row
+    // of the other branch, whichever side the LIMIT sits on. A satisfied
+    // LIMIT releases its own subtree; it must not cancel the query, or
+    // the other branch would come back truncated.
+    let k = 7;
+    let limited = "SELECT objid, r FROM photoobj WHERE r < 21";
+    let other = "SELECT objid, r FROM photoobj WHERE r >= 21";
+    for workers in [1, 4] {
+        let archive = archive_with_workers(&store, &tags, workers);
+        let limited_out = archive.run(limited).unwrap();
+        let limited_ids: HashSet<u64> = limited_out.rows.iter().map(|row| id(row)).collect();
+        let other_all = archive.run(other).unwrap();
+        assert!(limited_ids.len() > k, "the limit must cut");
+        for sql in [
+            format!("({limited} LIMIT {k}) UNION ({other})"),
+            format!("({other}) UNION ({limited} LIMIT {k})"),
+        ] {
+            let out = archive.run(&sql).unwrap();
+            let (from_limited, rest): (Vec<_>, Vec<_>) = out
+                .rows
+                .into_iter()
+                .partition(|row| limited_ids.contains(&id(row)));
+            assert_eq!(from_limited.len(), k, "{workers} workers: {sql}");
+            let rest = QueryOutput {
+                rows: rest,
+                ..other_all.clone()
+            };
+            assert_eq!(keyed(&rest), keyed(&other_all), "{workers} workers: {sql}");
+        }
+    }
 }
 
 #[test]

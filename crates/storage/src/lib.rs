@@ -17,7 +17,7 @@
 //!   driven by HTM covers
 //! * [`vertical`] — the tag-object vertical partition (paper §Desktop
 //!   Data Analysis)
-//! * [`column`] — struct-of-arrays tag columns per container, batch
+//! * [`mod@column`] — struct-of-arrays tag columns per container, batch
 //!   views with selection bitmaps, and the zero-copy `TagView` (the E5
 //!   scan path's memory-bandwidth substrate)
 //! * [`cover_cache`] — memoized HTM covers keyed by
