@@ -12,8 +12,10 @@
 //!   the ratio shows stored sets ride the same memory-bandwidth path,
 //!   with the set scan reading only the candidate subset.
 //! * **cross-match pair throughput** — `MATCH(cand, cand, r)` pair rows
-//!   per second through the morsel-parallel zone-index join, plus the
-//!   in-scan-folded `COUNT(*)` pair-count rate.
+//!   per second through the morsel-parallel zones join, plus the
+//!   in-scan-folded `COUNT(*)` pair-count rate, and the serial
+//!   `COUNT(*)` wall time per probe row (the figure behind
+//!   `CostModel::match_probe_seconds`).
 //!
 //! Emits `BENCH_workspace.json`. Scans run at 1 and 4 workers per query;
 //! judge wall-clock speedups against the recorded `cores` (a single-core
@@ -154,9 +156,13 @@ fn main() {
         black_box(out.rows.len());
     }
     let match_count_rps = match_pairs as f64 / best_count;
+    // One worker, no pair rows: the join's own cost per probe row.
+    let (best_serial_count, _) = best_seconds(&session, MATCH_COUNT_SQL);
+    let match_probe_us = best_serial_count * 1e6 / info.rows as f64;
     println!(
         "cross-match MATCH(cand, cand, 30\"): {match_pairs} pairs at \
-         {match_rps:.0} pairs/s (COUNT folds in-scan at {match_count_rps:.0} pairs/s)\n"
+         {match_rps:.0} pairs/s (COUNT folds in-scan at {match_count_rps:.0} pairs/s; \
+         serial COUNT {match_probe_us:.3} us per probe row)\n"
     );
 
     // --- stored-set scan vs equivalent base-archive scan --------------
@@ -201,7 +207,8 @@ fn main() {
          \"into_fast_speedup\": {into_fast_speedup:.2},\n  \
          \"match_pairs\": {match_pairs},\n  \
          \"match_pairs_per_sec\": {match_rps:.0},\n  \
-         \"match_count_pairs_per_sec\": {match_count_rps:.0},\n  \"runs\": [\n{}\n  ]\n}}\n",
+         \"match_count_pairs_per_sec\": {match_count_rps:.0},\n  \
+         \"match_probe_us\": {match_probe_us:.3},\n  \"runs\": [\n{}\n  ]\n}}\n",
         info.rows,
         info.chunks,
         entries.join(",\n")

@@ -637,7 +637,7 @@ impl Archive {
                     // a whole tag sweep. Pair multiplicity is
                     // data-dependent, so est_rows carries the probe-side
                     // row count (the scan driver), and est_seconds adds
-                    // a per-probe zone-lookup term on top of the byte
+                    // a per-probe zones term on top of the byte
                     // cost of reading both sides.
                     let mut probe_rows = 0.0;
                     for (input, is_probe) in [(&m.a, true), (&m.b, false)] {
@@ -682,11 +682,10 @@ impl Archive {
                         est.containers_partial += partial;
                     }
                     est.est_rows += probe_rows;
-                    // Per-probe zone lookup (a small HTM cover per probe
-                    // row) dominates the join — see the ROADMAP's
-                    // cover-memoization open item; the queue orders on
-                    // est_seconds, so underpricing this would let heavy
-                    // joins jump interactive queries.
+                    // The join costs a zones probe per probe row on top
+                    // of both sides' scan bytes. The queue orders on
+                    // est_seconds, so mispricing it either way reorders
+                    // joins against interactive queries.
                     est.est_seconds += probe_rows * model.match_probe_seconds;
                     return Ok(());
                 }

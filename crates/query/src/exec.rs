@@ -58,7 +58,7 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use sdss_catalog::{ObjClass, TagObject};
 use sdss_storage::{
     sample_hash_keep, ColumnBatch, MorselQueue, ObjectStore, RegionScan, ResultSet, SelectionMask,
-    TagScanPlan, TagStore, ZoneIndex,
+    TagScanPlan, TagStore, ZoneStripes,
 };
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
@@ -1457,20 +1457,20 @@ impl AttrSource for PairSource<'_> {
     }
 }
 
-/// The build side of one MATCH execution — the collected rows with their
-/// [`ZoneIndex`] — plus the join parameters. Probe workers share it by
+/// The build side of one MATCH execution — the collected rows and their
+/// [`ZoneStripes`] (declination stripes sorted by RA, cut for the join
+/// radius) — plus the pair predicate. Probe workers share it by
 /// reference; the probe side is an ordinary [`MorselRun`].
 struct MatchJoin {
     predicate: Option<Expr>,
-    radius_arcsec: f64,
     build: Vec<TagObject>,
-    index: ZoneIndex,
+    zones: ZoneStripes,
 }
 
 impl MatchJoin {
-    /// Resolve both join sides, build the zone index, and open the probe
-    /// run (no compiled predicate: pair predicates evaluate per pair;
-    /// the sample applies probe-side). Failures are recorded on the
+    /// Resolve both join sides, cut the build side into zones, and open
+    /// the probe run (no compiled predicate: pair predicates evaluate per
+    /// pair; the sample applies probe-side). Failures are recorded on the
     /// ticket (the consumer sees a closed channel plus the failure
     /// message, like every other resolution error).
     fn open(
@@ -1482,18 +1482,13 @@ impl MatchJoin {
         let probe = Self::resolve_input(&m.a, env, ticket)?;
         // Collect the build side once; its scan bytes are accounted to
         // the execution totals (but not to any probe worker).
-        let (build, build_deep, build_bytes, build_chunks) =
-            Self::collect_build(&m.b, env, ticket)?;
+        let (build, build_bytes, build_chunks) = Self::collect_build(&m.b, env, ticket)?;
         ticket.absorb_sweep(build_bytes, build_chunks);
-        // Bucket by the stored deep ids — integer shifts, no spherical
-        // lookups on the join's setup path.
-        let index =
-            ZoneIndex::build_from_deep(&build_deep, ZoneIndex::level_for_radius(m.radius_arcsec));
+        let zones = ZoneStripes::build(build.iter().map(TagObject::unit_vec), m.radius_arcsec);
         let join = MatchJoin {
             predicate: spec.predicate.clone(),
-            radius_arcsec: m.radius_arcsec,
             build,
-            index,
+            zones,
         };
         let run = MorselRun::new(probe, None, spec.sample, env.workers, ticket.clone());
         Some((join, run))
@@ -1521,21 +1516,17 @@ impl MatchJoin {
         ScanSource::resolve(env, &spec, ticket)
     }
 
-    /// Materialize the build side as owned tag rows plus their stored
-    /// level-20 HTM ids (the zone index buckets by shift-ancestor of
-    /// `htm20` — no per-row spherical lookup; this is exactly why
-    /// materialized sets preserve `htm20`). Cancellation is checked per
-    /// morsel — a whole-archive build side is the most expensive thing a
-    /// cancelled MATCH could otherwise keep doing. The zone index holds
-    /// row indices into the returned vector.
+    /// Materialize the build side as owned tag rows. Cancellation is
+    /// checked per morsel — a whole-archive build side is the most
+    /// expensive thing a cancelled MATCH could otherwise keep doing. The
+    /// zones hold row indices into the returned vector.
     fn collect_build(
         input: &MatchInput,
         env: &ExecEnv,
         ticket: &TicketCore,
-    ) -> Option<(Vec<TagObject>, Vec<u64>, usize, usize)> {
+    ) -> Option<(Vec<TagObject>, usize, usize)> {
         let source = Self::resolve_input(input, env, ticket)?;
         let mut rows = Vec::new();
-        let mut deep = Vec::new();
         let mut bytes = 0usize;
         let containers = source.n_morsels();
         for idx in 0..containers {
@@ -1546,60 +1537,49 @@ impl MatchJoin {
                 for i in 0..batch.len() {
                     rows.push(batch.row(i));
                 }
-                deep.extend_from_slice(batch.htm20);
                 true
             });
             bytes += stats.bytes_scanned;
         }
-        Some((rows, deep, bytes, containers))
+        Some((rows, bytes, containers))
     }
 
-    /// Probe every selected row of one probe-side batch against the zone
-    /// index, calling `on_pair` for each surviving pair (identity pairs
+    /// Probe every selected row of one probe-side batch against the
+    /// zones, calling `on_pair` for each surviving pair (identity pairs
     /// excluded, predicate evaluated per pair). Returns the pair count;
-    /// breaks when `on_pair` returns `false` or the probe fails.
+    /// breaks when `on_pair` returns `false`.
     fn probe(
         &self,
         batch: &ColumnBatch<'_>,
         keep: &SelectionMask,
-        ticket: &TicketCore,
         mut on_pair: impl FnMut(&PairSource<'_>) -> bool,
     ) -> ControlFlow<u64, u64> {
         let mut pairs = 0u64;
         let mut alive = true;
         for i in keep.iter_set() {
             let a = batch.row(i);
-            let probed = self.index.neighbors_within(
-                &self.build,
-                a.unit_vec(),
-                self.radius_arcsec,
-                |ri, sep| {
-                    let b = &self.build[ri as usize];
-                    // An object is not its own neighbor: the self-join
-                    // identity pair (sep = 0) carries no information.
-                    if !alive || b.obj_id == a.obj_id {
+            self.zones.for_each_within(a.unit_vec(), |ri, sep| {
+                let b = &self.build[ri as usize];
+                // An object is not its own neighbor: the self-join
+                // identity pair (sep = 0) carries no information.
+                if !alive || b.obj_id == a.obj_id {
+                    return;
+                }
+                let pair = PairSource {
+                    a: &a,
+                    b,
+                    sep_arcsec: sep,
+                };
+                if let Some(pred) = &self.predicate {
+                    // Type errors drop the pair, like the
+                    // row-wise scan fallback.
+                    if !matches!(eval(pred, &pair), Ok(Value::Bool(true))) {
                         return;
                     }
-                    let pair = PairSource {
-                        a: &a,
-                        b,
-                        sep_arcsec: sep,
-                    };
-                    if let Some(pred) = &self.predicate {
-                        // Type errors drop the pair, like the
-                        // row-wise scan fallback.
-                        if !matches!(eval(pred, &pair), Ok(Value::Bool(true))) {
-                            return;
-                        }
-                    }
-                    pairs += 1;
-                    alive = on_pair(&pair);
-                },
-            );
-            if let Err(e) = probed {
-                ticket.record_failure(format!("MATCH probe failed: {e}"));
-                return ControlFlow::Break(pairs);
-            }
+                }
+                pairs += 1;
+                alive = on_pair(&pair);
+            });
             if !alive {
                 return ControlFlow::Break(pairs);
             }
@@ -1609,7 +1589,9 @@ impl MatchJoin {
 }
 
 /// Spawn a MATCH join. Probe workers drain the probe side on the morsel
-/// driver and join each selected row against the zone index. Without
+/// driver and join each selected row against the build side's
+/// [`ZoneStripes`]: per probe, a binary-searched RA window in at most
+/// three declination stripes, then the exact separation test. Without
 /// `aggs` they stream projected pair rows (heterogeneous expression
 /// results — the row form of the fabric); with `aggs` they fold
 /// per-worker partials over the pairs (the `COUNT(*)` pair-count of the
@@ -1629,7 +1611,7 @@ fn spawn_match(
         if let Some(aggs) = aggs {
             let funcs: Vec<AggFn> = aggs.iter().map(|a| a.func).collect();
             fold_and_emit(&run, &funcs, tx, |batch, keep, _, accs| {
-                join.probe(batch, keep, ticket, |pair| {
+                join.probe(batch, keep, |pair| {
                     for (acc, a) in accs.iter_mut().zip(&aggs) {
                         let v = a.arg.as_ref().and_then(|e| eval(e, pair).ok());
                         acc.update(v.and_then(|v| v.as_num()));
@@ -1642,7 +1624,7 @@ fn spawn_match(
         fan_out(ticket, run.workers(), |w| {
             let mut out: Vec<Row> = Vec::with_capacity(BATCH);
             run.drain(w, |batch, keep, _| {
-                join.probe(batch, keep, ticket, |pair| {
+                join.probe(batch, keep, |pair| {
                     let row = spec.columns.iter().map(|(_, e)| eval(e, pair));
                     out.push(row.map(|v| v.unwrap_or(Value::Null)).collect());
                     out.len() < BATCH || send_rows(ticket, tx, &mut out)

@@ -33,8 +33,11 @@
 //!   cross-match source yields every ordered pair within the radius
 //!   (set-vs-set or set-vs-archive), exposing `a.<attr>` / `b.<attr>`
 //!   and the `sep_arcsec` pseudo-column. The join runs morsel-parallel
-//!   over the probe side against a zone-partitioned (HTM-bucketed)
-//!   build index — the paper's "find objects near other objects" /
+//!   over the probe side against the build side cut into declination
+//!   stripes sorted by RA (the zones algorithm,
+//!   [`sdss_storage::ZoneStripes`]): each probe binary-searches an RA
+//!   window in at most three stripes, with no per-probe HTM cover —
+//!   the paper's "find objects near other objects" /
 //!   gravitational-lens queries as a first-class query source, and
 //!   `MATCH ... INTO pairs` materializes the result under quotas.
 //! * [`Archive::prepare`] / [`Session::prepare`] → [`Prepared`] —

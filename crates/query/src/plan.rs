@@ -48,7 +48,8 @@ impl MatchInput {
 
 /// The `MATCH(a, b, radius_arcsec)` join description carried by a scan
 /// leaf: probe side `a` (one morsel per chunk/container), build side `b`
-/// (zone-partitioned into an HTM bucket index), and the match radius.
+/// (cut into RA-sorted declination stripes, `sdss_storage::ZoneStripes`),
+/// and the match radius.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatchSpec {
     /// Probe side — its chunks become the scan morsels.

@@ -31,8 +31,10 @@ pub struct CostModel {
     pub scan_bandwidth_bps: f64,
     /// Cover depth used for estimating the bisected-container overlap.
     pub overlap_level: u8,
-    /// Seconds per probe row of a cross-match join (the per-probe HTM
-    /// zone lookup dominates; see the query crate's MATCH estimator).
+    /// Seconds per probe row of a cross-match join: the zones probe
+    /// (stripe binary searches plus exact tests) with the build side's
+    /// setup amortized over the probes (see the query crate's MATCH
+    /// estimator).
     pub match_probe_seconds: f64,
 }
 
@@ -41,7 +43,11 @@ impl Default for CostModel {
         CostModel {
             scan_bandwidth_bps: 150.0e6, // the paper's 150 MB/s/node figure
             overlap_level: 11,
-            match_probe_seconds: 25.0e-6, // measured per-probe cover cost
+            // Serial `COUNT(*) FROM MATCH(cand, cand, 30)` wall time per
+            // probe row, `match_probe_us` in BENCH_workspace.json: 0.23 to
+            // 0.31 µs over three runs on a 2-core x86-64 host (30.8k
+            // probe rows).
+            match_probe_seconds: 0.3e-6,
         }
     }
 }
