@@ -1,13 +1,16 @@
 //! QET execution: a pull pipeline with ASAP streaming of *batches*.
 //!
 //! `launch` turns a plan into a small operator tree. Its leaves are the
-//! scan producers — the columnar projection scan, the in-scan aggregate,
-//! the MATCH join and the row-interpreted fallback — and they are the
+//! scan producers — the columnar projection scan, the sorted-run scan
+//! under an ORDER BY, the in-scan aggregate, the MATCH join and the
+//! row-interpreted fallback — and they are the
 //! only part of execution that runs threads: each leaf starts its guarded
 //! producer thread(s) at launch and fills one bounded channel with
-//! [`ResultBatch`]es. Limit, Sort, the channel Aggregate and Set are
-//! plain state machines pulled on the consumer's thread (through
-//! `pull`), with no thread and no channel of their own.
+//! [`ResultBatch`]es (the sorted-run scan: with its workers' sorted
+//! runs). Limit, Sort, the merge of sorted runs, the channel Aggregate
+//! and Set are plain state machines
+//! pulled on the consumer's thread (through `pull`), with no thread and
+//! no channel of their own.
 //! Sort, Aggregate and Set are the paper's blocking nodes ("at least one
 //! of the child nodes must be complete before results can be sent
 //! further up the tree"); they drain their children on the first pull.
@@ -31,14 +34,30 @@
 //! `MorselRun::drain` is the only morsel loop (cancel checks per morsel
 //! and per batch, row selection, per-worker accounting), and `fan_out`
 //! runs workers 1..n on scoped threads with worker 0 inline. The
-//! projection scan, the in-scan aggregate, the direct INTO path (at one
-//! worker) and the MATCH probe (pairs, and aggregates through the same
-//! partial-merge helper as scans) are closures over it. The driver's docs
-//! carry the slot-accounting contract with admission.
+//! projection scan, the sorted-run scan, the in-scan aggregate, the
+//! direct INTO path (at one worker) and the MATCH probe (pairs, and
+//! aggregates through the same partial-merge helper as scans) are
+//! closures over it. The driver's docs carry the slot-accounting
+//! contract with admission.
+//!
+//! **ORDER BY is columnar.** A sort key is a `u64` taken from the key's
+//! projected lane (ids as themselves, numbers through the `total_cmp`
+//! bit transform, classes by name rank; DESC inverts it). A Sort directly
+//! over a compilable scan is a shape on the driver: each worker keeps its
+//! projected batches, sorts a `(key, row)` permutation of them and ships
+//! them as one key-ordered run; under `LIMIT k` it keeps only its k best
+//! rows (`select_nth_unstable`), so the in-scan top-k ships at most k rows
+//! per worker. Each run travels with its keys; the consumer k-way merges
+//! the runs and emits columnar chunks gathered from the runs' lanes. A
+//! Sort over any other child (the row-interpreted scan, MATCH, an
+//! aggregate) gets rows and sorts them by [`compare_values`]. Set
+//! operations test the `objid` lane and gather their kept rows from the
+//! lanes too.
 //!
 //! A query without ORDER BY has an **unspecified row order**: parallel
 //! workers push into one channel in scheduling order. Only the multiset
-//! of rows is part of the result contract.
+//! of rows is part of the result contract. Under ORDER BY, rows with
+//! equal keys come back in unspecified order (the merge is not stable).
 //!
 //! Execution is owned, not scoped: stores travel as `Arc`s, so an
 //! operator tree can outlive the call that launched it (the pull-based
@@ -113,20 +132,6 @@ impl ColumnData {
         }
     }
 
-    /// The value of row `i`, materialized.
-    pub fn value_at(&self, i: usize) -> Value {
-        match self {
-            ColumnData::Num(v) => Value::Num(v[i]),
-            ColumnData::Id(v) => Value::Id(v[i]),
-            ColumnData::Class(v) => Value::Str(
-                ObjClass::from_u8(v[i])
-                    .expect("valid stored class")
-                    .as_str()
-                    .to_string(),
-            ),
-        }
-    }
-
     /// Numeric view of row `i` (same semantics as [`Value::as_num`]).
     pub fn num_at(&self, i: usize) -> Option<f64> {
         match self {
@@ -146,6 +151,82 @@ impl ColumnData {
             }
             ColumnData::Class(_) => None,
         }
+    }
+
+    /// Append this lane's ORDER BY keys to `keys`: unsigned integers
+    /// whose order is the order [`compare_values`] gives the
+    /// materialized values. Ids key as themselves (exact above 2^53),
+    /// numbers through the `f64::total_cmp` bit transform, classes by
+    /// the rank of their edge string. DESC inverts every key.
+    fn push_sort_keys(&self, desc: bool, keys: &mut Vec<u64>) {
+        let flip = if desc { u64::MAX } else { 0 };
+        match self {
+            ColumnData::Id(v) => keys.extend(v.iter().map(|&x| x ^ flip)),
+            ColumnData::Num(v) => keys.extend(v.iter().map(|&x| num_sort_key(x) ^ flip)),
+            ColumnData::Class(v) => {
+                let name = |b: u8| ObjClass::from_u8(b).expect("valid stored class").as_str();
+                let rank: Vec<u64> = (0..=3u8)
+                    .map(|b| (0..=3u8).filter(|&o| name(o) < name(b)).count() as u64)
+                    .collect();
+                keys.extend(v.iter().map(|&b| rank[b as usize] ^ flip));
+            }
+        }
+    }
+
+    /// The rows at `rows`, in that order.
+    fn gather(&self, rows: &[u32]) -> ColumnData {
+        fn pick<T: Copy>(v: &[T], rows: &[u32]) -> Vec<T> {
+            rows.iter().map(|&r| v[r as usize]).collect()
+        }
+        match self {
+            ColumnData::Num(v) => ColumnData::Num(pick(v, rows)),
+            ColumnData::Id(v) => ColumnData::Id(pick(v, rows)),
+            ColumnData::Class(v) => ColumnData::Class(pick(v, rows)),
+        }
+    }
+
+    /// The rows at `picks` — `(lane, row)` pairs, in that order — out of
+    /// `lanes`, one output column's lanes of several batches.
+    fn gather_across(lanes: &[&ColumnData], picks: &[(u32, u32)]) -> ColumnData {
+        fn pick<T: Copy>(
+            lanes: &[&ColumnData],
+            picks: &[(u32, u32)],
+            typed: fn(&ColumnData) -> Option<&[T]>,
+        ) -> Vec<T> {
+            let lanes: Vec<&[T]> = lanes
+                .iter()
+                .map(|l| typed(l).expect("one projection produces one column layout"))
+                .collect();
+            picks
+                .iter()
+                .map(|&(l, r)| lanes[l as usize][r as usize])
+                .collect()
+        }
+        match lanes[0] {
+            ColumnData::Num(_) => ColumnData::Num(pick(lanes, picks, |l| match l {
+                ColumnData::Num(v) => Some(v),
+                _ => None,
+            })),
+            ColumnData::Id(_) => ColumnData::Id(pick(lanes, picks, |l| match l {
+                ColumnData::Id(v) => Some(v),
+                _ => None,
+            })),
+            ColumnData::Class(_) => ColumnData::Class(pick(lanes, picks, |l| match l {
+                ColumnData::Class(v) => Some(v),
+                _ => None,
+            })),
+        }
+    }
+}
+
+/// `f64::total_cmp`'s order as an unsigned integer order: NaN, ±0.0 and
+/// ±inf sort bit for bit as `total_cmp` sorts them.
+fn num_sort_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
     }
 }
 
@@ -198,6 +279,25 @@ impl ColumnarBatch {
             }
         }
         self.len += other.len;
+    }
+
+    /// A new batch of the rows at `rows`, in that order, gathered lane by
+    /// lane — no row is built.
+    fn gather(&self, rows: &[u32]) -> ColumnarBatch {
+        let columns = self.columns.iter().map(|c| c.gather(rows)).collect();
+        ColumnarBatch::new(columns, rows.len())
+    }
+
+    /// A new batch of the rows at `picks` — `(batch, row)` pairs, in that
+    /// order — out of `batches` of one projection.
+    fn gather_across(batches: &[&ColumnarBatch], picks: &[(u32, u32)]) -> ColumnarBatch {
+        let columns = (0..batches[0].columns.len())
+            .map(|c| {
+                let lanes: Vec<&ColumnData> = batches.iter().map(|b| &b.columns[c]).collect();
+                ColumnData::gather_across(&lanes, picks)
+            })
+            .collect();
+        ColumnarBatch::new(columns, picks.len())
     }
 
     /// Materialize every row — the edge adapter. Column-major fill: one
@@ -307,20 +407,17 @@ impl ResultBatch {
         }
     }
 
-    /// The value at `(col, row)`, materialized.
-    fn value_at(&self, col: usize, row: usize) -> Value {
+    /// Keep only the rows at `rows` (distinct, ascending): a columnar
+    /// batch gathers them from its lanes, a row batch moves them.
+    fn select(self, rows: &[u32]) -> ResultBatch {
         match self {
-            ResultBatch::Columnar(b) => b.columns[col].value_at(row),
-            ResultBatch::Rows(r) => r[row][col].clone(),
-        }
-    }
-
-    /// Row `row`, materialized, or moved out of a row batch (leaving an
-    /// empty row behind).
-    fn take_row(&mut self, row: usize) -> Row {
-        match self {
-            ResultBatch::Columnar(b) => b.columns.iter().map(|c| c.value_at(row)).collect(),
-            ResultBatch::Rows(r) => std::mem::take(&mut r[row]),
+            ResultBatch::Columnar(b) if rows.len() == b.len() => ResultBatch::Columnar(b),
+            ResultBatch::Columnar(b) => ResultBatch::Columnar(b.gather(rows)),
+            ResultBatch::Rows(mut r) => ResultBatch::Rows(
+                rows.iter()
+                    .map(|&i| std::mem::take(&mut r[i as usize]))
+                    .collect(),
+            ),
         }
     }
 }
@@ -428,21 +525,22 @@ impl TicketCore {
         }
     }
 
+    /// Scan survivors shipped as they were selected: one batch of `rows`.
     fn note_batch(&self, rows: usize) {
-        self.rows_scanned.fetch_add(rows as u64, Ordering::Relaxed);
-        self.rows_emitted.fetch_add(rows as u64, Ordering::Relaxed);
-        self.batches_emitted.fetch_add(1, Ordering::Relaxed);
+        self.note_rows(rows as u64);
+        self.note_emitted(rows as u64);
     }
 
-    /// Scan-survivor rows that never ship as batches (in-scan aggregate
-    /// folding counts the rows it folded here).
+    /// Scan-survivor rows, shipped or not (in-scan aggregates count the
+    /// rows they folded here, sorted runs every row they ranked).
     fn note_rows(&self, rows: u64) {
         self.rows_scanned.fetch_add(rows, Ordering::Relaxed);
     }
 
-    /// The fused aggregate's single result row entering the fabric.
-    fn note_emitted(&self) {
-        self.rows_emitted.fetch_add(1, Ordering::Relaxed);
+    /// One batch of `rows` entering the fabric that is not a plain scan
+    /// batch: the fused aggregate's result row, a worker's sorted run.
+    fn note_emitted(&self, rows: u64) {
+        self.rows_emitted.fetch_add(rows, Ordering::Relaxed);
         self.batches_emitted.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -601,15 +699,20 @@ pub fn plan_uses_columnar(plan: &PlanNode, tags_available: bool, mode: ExecMode)
 pub(crate) fn launch(env: &ExecEnv, plan: PlanNode, ticket: &Arc<TicketCore>) -> Operator {
     match plan {
         PlanNode::Scan(spec) => spawn_scan(env, spec, ticket),
-        PlanNode::Limit { child, n } => Operator::Limit {
-            child: Some(Box::new(launch(env, *child, ticket))),
-            remaining: n,
-        },
-        PlanNode::Sort { child, key, desc } => Operator::Sort {
-            key_idx: column_of(&child, &key),
-            child: Box::new(launch(env, *child, ticket)),
-            desc,
-        },
+        PlanNode::Limit { child, n } => {
+            // A sort under the limit keeps only the `n` best rows.
+            let child = match *child {
+                PlanNode::Sort { child, key, desc } => {
+                    sort_over(env, *child, &key, desc, Some(n), ticket)
+                }
+                child => launch(env, child, ticket),
+            };
+            Operator::Limit {
+                child: Some(Box::new(child)),
+                remaining: n,
+            }
+        }
+        PlanNode::Sort { child, key, desc } => sort_over(env, *child, &key, desc, None, ticket),
         PlanNode::Aggregate { child, aggs } => {
             let PlanNode::Scan(spec) = *child else {
                 unreachable!("the planner puts Aggregate directly over a Scan")
@@ -626,7 +729,7 @@ pub(crate) fn launch(env: &ExecEnv, plan: PlanNode, ticket: &Arc<TicketCore>) ->
                 .and_then(|pred| Some((pred, compile_agg_inputs(&args)?)));
             if let Some((pred, inputs)) = lowered {
                 let env = env.clone();
-                return spawn_leaf(ticket, move |tx, ticket| {
+                return Operator::Leaf(spawn_leaf(ticket, move |tx, ticket| {
                     let Some(run) = MorselRun::open(&env, &spec, pred, env.workers, ticket) else {
                         return;
                     };
@@ -634,7 +737,7 @@ pub(crate) fn launch(env: &ExecEnv, plan: PlanNode, ticket: &Arc<TicketCore>) ->
                         inputs.fold(batch, keep, scratch, |i, v| accs[i].update(v));
                         ControlFlow::Continue(keep.count() as u64)
                     });
-                });
+                }));
             }
             // The channel aggregate over the scan's hidden `__agg_i`
             // columns (none for `COUNT(*)`), resolved once, not per row.
@@ -660,6 +763,38 @@ pub(crate) fn launch(env: &ExecEnv, plan: PlanNode, ticket: &Arc<TicketCore>) ->
             right_batches: Vec::new(),
             right_firsts: Vec::new(),
         })),
+    }
+}
+
+/// Launch a Sort over `child` (keeping its `limit` best rows when a LIMIT
+/// sits on it). Over a compilable scan the scan workers sort: each ships
+/// one key-ordered run, and [`Operator::Runs`] merges them. Any other
+/// child ships rows, and [`Operator::Sort`] sorts them.
+fn sort_over(
+    env: &ExecEnv,
+    child: PlanNode,
+    key: &str,
+    desc: bool,
+    limit: Option<usize>,
+    ticket: &Arc<TicketCore>,
+) -> Operator {
+    let order = SortOrder {
+        key_idx: column_of(&child, key),
+        desc,
+        limit,
+    };
+    let child = match child {
+        PlanNode::Scan(spec) => match compile_scan(&spec, env.tags.is_some(), env.mode) {
+            Some((pred, proj)) => {
+                return Operator::Runs(spawn_sorted_runs(env, spec, pred, proj, order, ticket))
+            }
+            None => spawn_scan(env, spec, ticket),
+        },
+        child => launch(env, child, ticket),
+    };
+    Operator::Sort {
+        child: Box::new(child),
+        order,
     }
 }
 
@@ -709,20 +844,21 @@ fn guarded<T>(ticket: &TicketCore, body: impl FnOnce() -> T) -> Option<T> {
 
 /// Start a scan leaf: `produce` runs on one detached, guarded producer
 /// thread (fanning out to more workers inside it) and fills a bounded
-/// channel whose receiving end is the leaf operator. This is the only
-/// place execution spawns a detached thread or creates a channel. The
-/// sender outlives the guard, so a panic is on the ticket before the
+/// channel whose receiving end the leaf operator holds — batches for
+/// [`Operator::Leaf`], sorted runs for [`Operator::Runs`]. This is the
+/// only place execution spawns a detached thread or creates a channel.
+/// The sender outlives the guard, so a panic is on the ticket before the
 /// consumer sees the channel close.
-fn spawn_leaf(
+fn spawn_leaf<T: Send + 'static>(
     ticket: &Arc<TicketCore>,
-    produce: impl FnOnce(&Sender<ResultBatch>, &Arc<TicketCore>) + Send + 'static,
-) -> Operator {
-    let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
+    produce: impl FnOnce(&Sender<T>, &Arc<TicketCore>) + Send + 'static,
+) -> Receiver<T> {
+    let (tx, rx) = bounded::<T>(CHANNEL_DEPTH);
     let ticket = ticket.clone();
     std::thread::spawn(move || {
         guarded(&ticket, || produce(&tx, &ticket));
     });
-    Operator::Leaf(rx)
+    rx
 }
 
 /// Ship a full row buffer into the fabric; `false` once the consumer
@@ -739,24 +875,24 @@ fn send_rows(ticket: &TicketCore, tx: &Sender<ResultBatch>, out: &mut Vec<Row>) 
 pub(crate) enum Operator {
     /// A scan leaf's bounded channel.
     Leaf(Receiver<ResultBatch>),
-    /// A blocking operator's finished result: `order` lists the
-    /// `(batch, row)` positions of its rows in output order. A row is
-    /// built (or moved, never cloned) only when its `BATCH`-sized chunk
-    /// ships, so rows a LIMIT never asks for are never built.
-    Buffered {
-        batches: Vec<ResultBatch>,
-        order: std::vec::IntoIter<(usize, usize)>,
-    },
+    /// A sorted-run scan leaf's bounded channel (blocking): every scan
+    /// worker ships one key-ordered [`Run`]; the first pull drains them
+    /// and the operator becomes their [`Operator::Merge`].
+    Runs(Receiver<Run>),
+    /// A blocking operator's finished result, handed on batch by batch.
+    Done(std::vec::IntoIter<ResultBatch>),
+    /// Sorted runs, merged one columnar output chunk per pull.
+    Merge(SortedRuns),
     /// Streams its child until `remaining` rows passed, then drops it.
     Limit {
         child: Option<Box<Operator>>,
         remaining: usize,
     },
-    /// Blocking: drains and sorts its child on the first pull.
+    /// Blocking: drains its child's rows on the first pull and sorts them
+    /// by [`compare_values`] (a Sort over anything but a compilable scan).
     Sort {
         child: Box<Operator>,
-        key_idx: usize,
-        desc: bool,
+        order: SortOrder,
     },
     /// Blocking: folds its child's hidden `__agg_i` columns into one row.
     Aggregate {
@@ -771,15 +907,10 @@ pub(crate) enum Operator {
 impl Operator {
     /// The next batch of this operator's output (`None`: exhausted).
     fn next(&mut self) -> Option<ResultBatch> {
-        let (batches, order) = match self {
+        let done = match self {
             Operator::Leaf(rx) => return rx.recv().ok(),
-            Operator::Buffered { batches, order } => {
-                let chunk: Vec<Row> = order
-                    .take(BATCH)
-                    .map(|(b, r)| batches[b].take_row(r))
-                    .collect();
-                return (!chunk.is_empty()).then_some(ResultBatch::Rows(chunk));
-            }
+            Operator::Done(batches) => return batches.next(),
+            Operator::Merge(runs) => return runs.next(),
             Operator::Limit { child, remaining } => {
                 let mut batch = child.as_mut().filter(|_| *remaining > 0)?.next();
                 if let Some(b) = &mut batch {
@@ -796,25 +927,15 @@ impl Operator {
             }
             Operator::Set(set) => match set.next() {
                 Some(batch) => return Some(batch),
-                None => set.right_only(),
+                None => Operator::Done(set.right_only().into_iter()),
             },
-            Operator::Sort {
-                child,
-                key_idx,
-                desc,
-            } => {
-                // Sort the rows' positions by key; the batches stay as
-                // they arrived (columnar ones unmaterialized).
-                let batches: Vec<ResultBatch> = std::iter::from_fn(|| child.next()).collect();
-                let mut keyed: Vec<(Value, usize, usize)> = Vec::new();
-                for (b, batch) in batches.iter().enumerate() {
-                    keyed.extend((0..batch.len()).map(|r| (batch.value_at(*key_idx, r), b, r)));
+            Operator::Runs(rx) => Operator::Merge(SortedRuns::new(rx.iter().collect())),
+            Operator::Sort { child, order } => {
+                let mut rows = Vec::new();
+                while let Some(batch) = child.next() {
+                    batch.append_rows(&mut rows);
                 }
-                keyed.sort_by(|x, y| match desc {
-                    true => compare_values(&y.0, &x.0),
-                    false => compare_values(&x.0, &y.0),
-                });
-                (batches, keyed.into_iter().map(|(_, b, r)| (b, r)).collect())
+                Operator::Done(sort_rows(rows, *order).into_iter())
             }
             Operator::Aggregate {
                 child,
@@ -832,21 +953,161 @@ impl Operator {
                     }
                 }
                 let row = acc.into_iter().map(AggAcc::finish).collect();
-                (vec![ResultBatch::Rows(vec![row])], vec![(0, 0)])
+                Operator::Done(vec![ResultBatch::Rows(vec![row])].into_iter())
             }
         };
         // A blocking operator has its result; it becomes that result (and
         // drops its drained child).
-        *self = Operator::Buffered {
-            batches,
-            order: order.into_iter(),
-        };
+        *self = done;
         self.next()
     }
 }
 
+// ---------------------------------------------------------------------
+// Sorting: key-lane runs and their merge
+// ---------------------------------------------------------------------
+
+/// A Sort's ORDER BY: the key's output column, the direction, and the
+/// LIMIT on the sort, if any.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SortOrder {
+    key_idx: usize,
+    desc: bool,
+    limit: Option<usize>,
+}
+
+/// A top-k buffer is cut back to its `limit` best rows once it holds
+/// this many times `limit` rows (and at least `COALESCE_ROWS`).
+const TOPK_SLACK: usize = 4;
+
+/// A scan worker's rows gathered for sorting, and their ORDER BY keys
+/// ([`ColumnData::push_sort_keys`]). Under a limit the buffer is cut back
+/// to its `limit` best rows with `select_nth_unstable` whenever it
+/// passes `TOPK_SLACK × limit` rows, so it holds O(limit) rows.
+struct RunBuilder {
+    order: SortOrder,
+    batch: Option<ColumnarBatch>,
+    keys: Vec<u64>,
+}
+
+impl RunBuilder {
+    fn new(order: SortOrder) -> RunBuilder {
+        RunBuilder {
+            order,
+            batch: None,
+            keys: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, b: ColumnarBatch) {
+        b.columns[self.order.key_idx].push_sort_keys(self.order.desc, &mut self.keys);
+        match &mut self.batch {
+            Some(all) => all.append(b),
+            None => self.batch = Some(b),
+        }
+        let cap = self
+            .order
+            .limit
+            .map(|k| k.saturating_mul(TOPK_SLACK).max(COALESCE_ROWS));
+        if cap.is_some_and(|cap| self.keys.len() > cap) {
+            self.retain(false);
+        }
+    }
+
+    /// Keep only the `limit` best rows (all rows without a limit), in key
+    /// order if `sorted`.
+    fn retain(&mut self, sorted: bool) {
+        let mut entries: Vec<(u64, u32)> = self.keys.iter().copied().zip(0u32..).collect();
+        if let Some(k) = self.order.limit.filter(|&k| k < entries.len()) {
+            entries.select_nth_unstable_by_key(k, |&(key, _)| key);
+            entries.truncate(k);
+        }
+        if sorted {
+            entries.sort_unstable_by_key(|&(key, _)| key);
+        }
+        let rows: Vec<u32> = entries.iter().map(|&(_, r)| r).collect();
+        self.batch = self.batch.as_ref().map(|b| b.gather(&rows));
+        self.keys = entries.into_iter().map(|(key, _)| key).collect();
+    }
+
+    /// The run a scan worker ships: its best rows in key order (`None`
+    /// when it has none).
+    fn finish(mut self) -> Option<Run> {
+        self.retain(true);
+        let batch = self.batch.filter(|b| !b.is_empty())?;
+        Some(Run {
+            batch,
+            keys: self.keys,
+        })
+    }
+}
+
+/// One scan worker's sorted output: rows in key order, with the keys the
+/// worker sorted them by, so the merge never recomputes a key.
+#[derive(Debug)]
+pub(crate) struct Run {
+    batch: ColumnarBatch,
+    keys: Vec<u64>,
+}
+
+/// The k-way merge of the scan workers' runs. Each pull takes the next
+/// `BATCH` rows off the runs' heads and gathers them from the runs'
+/// lanes, so a LIMIT above it never has rows gathered it does not ask
+/// for. The merge is not stable: rows with equal keys come out in no set
+/// order.
+pub(crate) struct SortedRuns {
+    runs: Vec<Run>,
+    /// Each run's first unmerged row.
+    heads: Vec<usize>,
+}
+
+impl SortedRuns {
+    fn new(runs: Vec<Run>) -> SortedRuns {
+        SortedRuns {
+            heads: vec![0; runs.len()],
+            runs,
+        }
+    }
+
+    fn next(&mut self) -> Option<ResultBatch> {
+        let mut picks: Vec<(u32, u32)> = Vec::with_capacity(BATCH);
+        while picks.len() < BATCH {
+            let head = (0..self.runs.len())
+                .filter(|&i| self.heads[i] < self.runs[i].keys.len())
+                .min_by_key(|&i| self.runs[i].keys[self.heads[i]]);
+            let Some(i) = head else { break };
+            picks.push((i as u32, self.heads[i] as u32));
+            self.heads[i] += 1;
+        }
+        if picks.is_empty() {
+            return None;
+        }
+        let batches: Vec<&ColumnarBatch> = self.runs.iter().map(|r| &r.batch).collect();
+        Some(ResultBatch::Columnar(ColumnarBatch::gather_across(
+            &batches, &picks,
+        )))
+    }
+}
+
+/// Sort rows by [`compare_values`] on the key column (stable), in
+/// `BATCH`-row chunks.
+fn sort_rows(mut rows: Vec<Row>, order: SortOrder) -> Vec<ResultBatch> {
+    let k = order.key_idx;
+    rows.sort_by(|a, b| match order.desc {
+        true => compare_values(&b[k], &a[k]),
+        false => compare_values(&a[k], &b[k]),
+    });
+    let mut rows = rows.into_iter();
+    std::iter::from_fn(|| {
+        let chunk: Vec<Row> = rows.by_ref().take(BATCH).collect();
+        (!chunk.is_empty()).then_some(ResultBatch::Rows(chunk))
+    })
+    .collect()
+}
+
 /// A set operation keyed on `objid`: blocking on the right side (drained
-/// into the key set on the first pull), streaming on the left.
+/// into the key set on the first pull), streaming on the left. Kept rows
+/// leave a columnar batch gathered from its lanes, never as rows.
 pub(crate) struct SetOperator {
     op: SetOp,
     objid_idx: usize,
@@ -860,11 +1121,11 @@ pub(crate) struct SetOperator {
     /// and then passes left rows as EXCEPT does, so the set ends up
     /// holding the left ids emitted.
     ids: HashSet<u64>,
-    /// UNION only: the right side's batches and the `(batch, row)`
-    /// position of its first row per objid. Right-only rows are emitted
-    /// whole after the left side.
+    /// UNION only: the right side's batches, and per batch the rows that
+    /// are the first of their objid. Right-only rows are emitted whole
+    /// after the left side.
     right_batches: Vec<ResultBatch>,
-    right_firsts: Vec<(usize, usize)>,
+    right_firsts: Vec<Vec<u32>>,
 }
 
 impl SetOperator {
@@ -873,16 +1134,12 @@ impl SetOperator {
         let idx = self.objid_idx;
         if let Some(mut right) = self.right.take() {
             // INTERSECT and EXCEPT only need the ids; only UNION keeps
-            // the right side's (unmaterialized) batches.
+            // the right side's batches.
             let union = self.op == SetOp::Union;
             while let Some(batch) = right.next() {
-                for r in 0..batch.len() {
-                    let first = batch.id_at(idx, r).is_some_and(|id| self.ids.insert(id));
-                    if first && union {
-                        self.right_firsts.push((self.right_batches.len(), r));
-                    }
-                }
+                let firsts = rows_where(&batch, idx, |id| self.ids.insert(id));
                 if union {
+                    self.right_firsts.push(firsts);
                     self.right_batches.push(batch);
                 }
             }
@@ -890,36 +1147,42 @@ impl SetOperator {
                 self.ids.clear();
             }
         }
-        let mut out: Vec<Row> = Vec::with_capacity(BATCH);
-        while out.len() < BATCH {
-            let Some(batch) = self.left.next() else {
-                break;
-            };
-            for row in batch.rows() {
-                let keep = row[idx].as_id().is_some_and(|id| match self.op {
-                    SetOp::Intersect => self.ids.remove(&id),
-                    SetOp::Union | SetOp::Except => self.ids.insert(id),
-                });
-                if keep {
-                    out.push(row);
-                }
+        loop {
+            let batch = self.left.next()?;
+            let keep = rows_where(&batch, idx, |id| match self.op {
+                SetOp::Intersect => self.ids.remove(&id),
+                SetOp::Union | SetOp::Except => self.ids.insert(id),
+            });
+            if !keep.is_empty() {
+                return Some(batch.select(&keep));
             }
         }
-        (!out.is_empty()).then_some(ResultBatch::Rows(out))
     }
 
     /// UNION's right-only rows, which follow the left side (none for
-    /// INTERSECT and EXCEPT), as `Operator::Buffered` parts.
-    fn right_only(&mut self) -> (Vec<ResultBatch>, Vec<(usize, usize)>) {
-        let batches = std::mem::take(&mut self.right_batches);
-        let mut order = std::mem::take(&mut self.right_firsts);
-        order.retain(|&(b, r)| {
-            batches[b]
-                .id_at(self.objid_idx, r)
-                .is_some_and(|id| !self.ids.contains(&id))
-        });
-        (batches, order)
+    /// INTERSECT and EXCEPT).
+    fn right_only(&mut self) -> Vec<ResultBatch> {
+        let firsts = std::mem::take(&mut self.right_firsts);
+        std::mem::take(&mut self.right_batches)
+            .into_iter()
+            .zip(firsts)
+            .filter_map(|(batch, mut rows)| {
+                rows.retain(|&r| {
+                    let id = batch.id_at(self.objid_idx, r as usize);
+                    id.is_some_and(|id| !self.ids.contains(&id))
+                });
+                (!rows.is_empty()).then(|| batch.select(&rows))
+            })
+            .collect()
     }
+}
+
+/// The rows of `batch` whose objid passes `keep` (a row without an id
+/// never passes).
+fn rows_where(batch: &ResultBatch, idx: usize, mut keep: impl FnMut(u64) -> bool) -> Vec<u32> {
+    (0..batch.len() as u32)
+        .filter(|&r| batch.id_at(idx, r as usize).is_some_and(&mut keep))
+        .collect()
 }
 
 /// Lower a scan: project columns (plus hidden aggregate argument columns,
@@ -931,52 +1194,13 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> Operat
     if let QuerySource::Match(m) = spec.source.clone() {
         return spawn_match(env, spec, m, None, ticket);
     }
+    if let Some((pred, proj)) = compile_scan(&spec, env.tags.is_some(), env.mode) {
+        return spawn_columnar(env, spec, pred, proj, ticket);
+    }
     let env = env.clone();
 
-    // --- columnar fast path -------------------------------------------
-    // Every worker streams projected batches into the same output
-    // channel (the channel is the per-worker stream merge).
-    if let Some((pred, proj)) = compile_scan(&spec, env.tags.is_some(), env.mode) {
-        return spawn_leaf(ticket, move |tx, ticket| {
-            let Some(run) = MorselRun::open(&env, &spec, pred, env.workers, ticket) else {
-                return;
-            };
-            fan_out(ticket, run.workers(), |w| {
-                // Coalesced output: selective predicates keep few rows
-                // per input chunk; accumulating up to COALESCE_ROWS
-                // before a send amortizes the channel round-trip. Each
-                // worker's FIRST non-empty batch flushes immediately —
-                // coalescing must not hold back time-to-first-row.
-                let mut pending: Option<ColumnarBatch> = None;
-                let mut sent_any = false;
-                run.drain(w, |batch, keep, scratch| {
-                    let selected = keep.count() as u64;
-                    let out = proj.eval_batch(batch, keep, scratch);
-                    match &mut pending {
-                        None => pending = Some(out),
-                        Some(p) => p.append(out),
-                    }
-                    let threshold = if sent_any { COALESCE_ROWS } else { 1 };
-                    if pending.as_ref().is_some_and(|p| p.len() >= threshold) {
-                        let out = pending.take().expect("checked above");
-                        ticket.note_batch(out.len());
-                        sent_any = true;
-                        if tx.send(ResultBatch::Columnar(out)).is_err() {
-                            return ControlFlow::Break(selected); // consumer hung up
-                        }
-                    }
-                    ControlFlow::Continue(selected)
-                });
-                if let Some(out) = pending {
-                    ticket.note_batch(out.len());
-                    let _ = tx.send(ResultBatch::Columnar(out));
-                }
-            });
-        });
-    }
-
     // --- row-at-a-time fallback ---------------------------------------
-    spawn_leaf(ticket, move |tx, ticket| {
+    Operator::Leaf(spawn_leaf(ticket, move |tx, ticket| {
         let mut out: Vec<Row> = Vec::with_capacity(BATCH);
         let mut alive = true;
         let mut kept: u64 = 0;
@@ -1091,6 +1315,87 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> Operat
             bytes_scanned: worker_bytes,
             morsels: 0,
             rows_selected: kept,
+        });
+    }))
+}
+
+/// The compiled scan leaf: every worker drains the morsel driver and
+/// streams its projected batches into the one output channel (the
+/// channel is the per-worker stream merge).
+fn spawn_columnar(
+    env: &ExecEnv,
+    spec: ScanSpec,
+    pred: Option<CompiledPredicate>,
+    proj: CompiledProjection,
+    ticket: &Arc<TicketCore>,
+) -> Operator {
+    let env = env.clone();
+    Operator::Leaf(spawn_leaf(ticket, move |tx, ticket| {
+        let Some(run) = MorselRun::open(&env, &spec, pred, env.workers, ticket) else {
+            return;
+        };
+        fan_out(ticket, run.workers(), |w| {
+            // Coalesced output: selective predicates keep few rows per
+            // input chunk; accumulating up to COALESCE_ROWS before a send
+            // amortizes the channel round-trip. Each worker's FIRST
+            // non-empty batch flushes immediately — coalescing must not
+            // hold back time-to-first-row.
+            let mut pending: Option<ColumnarBatch> = None;
+            let mut sent_any = false;
+            run.drain(w, |batch, keep, scratch| {
+                let selected = keep.count() as u64;
+                let out = proj.eval_batch(batch, keep, scratch);
+                match &mut pending {
+                    None => pending = Some(out),
+                    Some(p) => p.append(out),
+                }
+                let threshold = if sent_any { COALESCE_ROWS } else { 1 };
+                if pending.as_ref().is_some_and(|p| p.len() >= threshold) {
+                    let out = pending.take().expect("checked above");
+                    ticket.note_batch(out.len());
+                    sent_any = true;
+                    if tx.send(ResultBatch::Columnar(out)).is_err() {
+                        return ControlFlow::Break(selected); // consumer hung up
+                    }
+                }
+                ControlFlow::Continue(selected)
+            });
+            if let Some(out) = pending {
+                ticket.note_batch(out.len());
+                let _ = tx.send(ResultBatch::Columnar(out));
+            }
+        });
+    }))
+}
+
+/// The compiled scan under an ORDER BY: every worker drains the morsel
+/// driver into a [`RunBuilder`] (its `order.limit` best rows only, under
+/// a LIMIT) and ships them as one key-ordered [`Run`] for
+/// [`Operator::Runs`] to merge.
+fn spawn_sorted_runs(
+    env: &ExecEnv,
+    spec: ScanSpec,
+    pred: Option<CompiledPredicate>,
+    proj: CompiledProjection,
+    order: SortOrder,
+    ticket: &Arc<TicketCore>,
+) -> Receiver<Run> {
+    let env = env.clone();
+    spawn_leaf(ticket, move |tx, ticket| {
+        let Some(run) = MorselRun::open(&env, &spec, pred, env.workers, ticket) else {
+            return;
+        };
+        fan_out(ticket, run.workers(), |w| {
+            let mut sorted = RunBuilder::new(order);
+            let ws = run.drain(w, |batch, keep, scratch| {
+                sorted.push(proj.eval_batch(batch, keep, scratch));
+                ControlFlow::Continue(keep.count() as u64)
+            });
+            ticket.note_rows(ws.rows_selected);
+            if let Some(out) = sorted.finish() {
+                ticket.note_emitted(out.keys.len() as u64);
+                let _ = tx.send(out);
+            }
         });
     })
 }
@@ -1215,8 +1520,9 @@ impl ScanSource {
 // ---------------------------------------------------------------------
 
 /// One morsel-driven run — the single driver under every compiled shape:
-/// the projection scan, the in-scan aggregate, the direct INTO path (at
-/// one worker), and the MATCH probe (pairs and aggregates). It holds the
+/// the projection scan, the sorted-run scan, the in-scan aggregate, the
+/// direct INTO path (at one worker), and the MATCH probe (pairs and
+/// aggregates). It holds the
 /// resolved source, the compiled predicate and sample, and the
 /// byte-balanced [`MorselQueue`], built exactly once per run.
 ///
@@ -1385,7 +1691,7 @@ fn fold_and_emit(
         }
     }
     let row: Row = acc.into_iter().map(AggAcc::finish).collect();
-    run.ticket.note_emitted();
+    run.ticket.note_emitted(1);
     let _ = tx.send(ResultBatch::Rows(vec![row]));
 }
 
@@ -1604,7 +1910,7 @@ fn spawn_match(
     ticket: &Arc<TicketCore>,
 ) -> Operator {
     let env = env.clone();
-    spawn_leaf(ticket, move |tx, ticket| {
+    Operator::Leaf(spawn_leaf(ticket, move |tx, ticket| {
         let Some((join, run)) = MatchJoin::open(&env, &spec, &m, ticket) else {
             return;
         };
@@ -1634,7 +1940,7 @@ fn spawn_match(
                 send_rows(ticket, tx, &mut out);
             }
         });
-    })
+    }))
 }
 
 /// Wrapper so `&dyn AttrSource` satisfies the generic eval bound.
@@ -1820,7 +2126,7 @@ mod tests {
     #[test]
     fn leaf_panic_is_recorded_before_its_channel_closes() {
         let ticket = Arc::new(TicketCore::default());
-        let mut leaf = spawn_leaf(&ticket, |_, _| panic!("boom in a scan leaf"));
+        let mut leaf = Operator::Leaf(spawn_leaf(&ticket, |_, _| panic!("boom in a scan leaf")));
         // The sender outlives the guard: by the time the consumer sees
         // the channel close, the panic is on the ticket.
         assert!(leaf.next().is_none());
@@ -1849,8 +2155,11 @@ mod tests {
         let ticket = TicketCore::default();
         let (mut root, tx) = tree_over(|child| Operator::Sort {
             child,
-            key_idx: 1,
-            desc: false,
+            order: SortOrder {
+                key_idx: 1,
+                desc: false,
+                limit: None,
+            },
         });
         // Rows shorter than the sort key index: Sort panics while
         // comparing, on the consumer's thread.
@@ -1873,8 +2182,11 @@ mod tests {
         let ticket = TicketCore::default();
         let (mut root, tx) = tree_over(|child| Operator::Sort {
             child,
-            key_idx: 1,
-            desc: true,
+            order: SortOrder {
+                key_idx: 1,
+                desc: true,
+                limit: None,
+            },
         });
         for range in [0..100, 100..250, 250..300] {
             tx.send(id_rows(range)).unwrap();
@@ -1892,6 +2204,57 @@ mod tests {
             .collect();
         assert!(keys.windows(2).all(|w| w[0] >= w[1]), "descending keys");
         assert!(ticket.failure().is_none());
+    }
+
+    /// A columnar batch of `(objid, r)` rows.
+    fn id_r(rows: &[(u64, f64)]) -> ColumnarBatch {
+        ColumnarBatch::new(
+            vec![
+                ColumnData::Id(rows.iter().map(|r| r.0).collect()),
+                ColumnData::Num(rows.iter().map(|r| r.1).collect()),
+            ],
+            rows.len(),
+        )
+    }
+
+    #[test]
+    fn sorted_runs_are_built_per_worker_and_merged() {
+        // Each slice is one worker's projected output, in no order; the
+        // worker sorts it into a run and the runs merge on `r`.
+        let merged = |limit: Option<usize>, workers: &[&[(u64, f64)]]| {
+            let ticket = TicketCore::default();
+            let order = SortOrder {
+                key_idx: 1,
+                desc: false,
+                limit,
+            };
+            let (tx, rx) = bounded::<Run>(CHANNEL_DEPTH);
+            for rows in workers {
+                let mut run = RunBuilder::new(order);
+                run.push(id_r(rows));
+                tx.send(run.finish().expect("rows in")).unwrap();
+            }
+            drop(tx);
+            let mut root = Some(Operator::Runs(rx));
+            let out: Vec<ResultBatch> = std::iter::from_fn(|| pull(&mut root, &ticket)).collect();
+            assert!(out.iter().all(ResultBatch::is_columnar), "rows built early");
+            out.into_iter()
+                .flat_map(ResultBatch::rows)
+                .map(|r| r[0].as_id().unwrap())
+                .collect::<Vec<u64>>()
+        };
+        let workers: [&[(u64, f64)]; 3] = [
+            &[(3, 9.0), (1, -2.0), (2, 0.5)],
+            &[(5, 0.0), (4, -0.0)],
+            &[(8, f64::NAN), (7, 1.0), (6, f64::NEG_INFINITY)],
+        ];
+        let want = [6, 1, 4, 5, 2, 7, 3, 8];
+        assert_eq!(merged(None, &workers), want);
+        // Under a limit each worker ships only its best rows; the merged
+        // prefix is the global top-k.
+        let top = merged(Some(2), &workers);
+        assert_eq!(top.len(), 6);
+        assert_eq!(top[..2], want[..2]);
     }
 
     #[test]

@@ -115,8 +115,12 @@
 //! at every worker count, on every core count, and between the compiled
 //! and interpreted paths — the equivalence suites compare canonical
 //! multisets of bit-identical values. Callers that need an order say
-//! ORDER BY (a unique key such as `objid` makes `ORDER BY ... LIMIT n`
-//! deterministic too).
+//! ORDER BY. Rows with **equal ORDER BY keys come back in unspecified
+//! order**: scan workers sort their own rows and the consumer merges
+//! their runs, and the merge is not stable. A unique key such as `objid`
+//! makes `ORDER BY ... LIMIT n` deterministic. Numeric keys order as
+//! `f64::total_cmp` does (NaN, -0.0 and ±inf included), ids exactly,
+//! classes by name.
 //!
 //! Set operations key on `objid` and have set semantics: each object
 //! appears once. UNION returns the left side's row for objects on both

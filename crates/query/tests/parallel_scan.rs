@@ -180,6 +180,68 @@ fn sorted_limit_is_stable_across_worker_counts() {
     assert_eq!(a.rows, b.rows);
 }
 
+/// `ORDER BY ... LIMIT k` over a compilable sweep keeps only each
+/// worker's k best rows inside the scan workers: no more than k rows per
+/// worker enter the fabric, while every scanned row is still ranked.
+#[test]
+fn top_k_runs_in_the_scan_workers() {
+    let (store, tags) = build_stores(48, 6000);
+    let parallel = archive_with_workers(&store, &tags, 4);
+    let all = parallel
+        .run("SELECT objid, r, psf_r FROM photoobj WHERE r < 30")
+        .unwrap();
+    let mut want: Vec<(f64, u64)> = all
+        .rows
+        .iter()
+        .map(|row| (row[1].as_num().unwrap(), id(row)))
+        .collect();
+    want.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let best: Vec<u64> = want[..10].iter().map(|&(r, _)| r.to_bits()).collect();
+    let in_result = |row: &Vec<Value>| {
+        want.iter()
+            .any(|&(r, i)| i == id(row) && r == row[1].as_num().unwrap())
+    };
+
+    let top = parallel
+        .run("SELECT objid, r FROM photoobj WHERE r < 30 ORDER BY r LIMIT 10")
+        .unwrap();
+    let s = &top.stats;
+    assert!(s.columnar);
+    assert!(s.workers_used > 1, "pool never engaged");
+    assert!(
+        s.rows_emitted <= 10 * s.workers_used as u64,
+        "{} rows left {} workers for a top 10",
+        s.rows_emitted,
+        s.workers_used
+    );
+    assert_eq!(
+        s.scan.rows_scanned,
+        all.rows.len() as u64,
+        "every row is ranked"
+    );
+    let keys: Vec<u64> = top
+        .rows
+        .iter()
+        .map(|row| row[1].as_num().unwrap().to_bits())
+        .collect();
+    assert_eq!(keys, best);
+    assert!(top.rows.iter().all(in_result));
+
+    // psf_r is not a tag attribute: the full store stays row-interpreted
+    // and still returns the right ten rows.
+    let full = parallel
+        .run("SELECT objid, r, psf_r FROM photoobj WHERE r < 30 ORDER BY r LIMIT 10")
+        .unwrap();
+    assert!(!full.stats.columnar);
+    let keys: Vec<u64> = full
+        .rows
+        .iter()
+        .map(|row| row[1].as_num().unwrap().to_bits())
+        .collect();
+    assert_eq!(keys, best);
+    assert!(full.rows.iter().all(in_result));
+}
+
 #[test]
 fn limit_inside_a_set_op_branch_cuts_only_that_branch() {
     let (store, tags) = build_stores(47, 12000);
